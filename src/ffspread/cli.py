@@ -164,6 +164,7 @@ def run_ber_sweep(cfg: RunConfig, csv_path=None) -> list[BerRecord]:
         for point_idx in range(len(cfg.eb_n0_db)):
             t0 = time.perf_counter()
             per_frame: list[int] = []
+            cum = 0
             stop = None
             next_frame = 0
             while stop is None and next_frame < cfg.max_frames:
@@ -174,13 +175,12 @@ def run_ber_sweep(cfg: RunConfig, csv_path=None) -> list[BerRecord]:
                 else:
                     batch = list(executor.map(_frame_worker, payloads))
                 per_frame.extend(batch)
-                next_frame = hi
-                cum = 0
-                for i, e in enumerate(per_frame):
+                for i, e in enumerate(batch, start=next_frame):
                     cum += e
                     if cum >= cfg.min_errors:
                         stop = i + 1
                         break
+                next_frame = hi
             frames = stop if stop is not None else len(per_frame)
             errors = sum(per_frame[:frames])
             bits = frames * cfg.k * cfg.s * cfg.n

@@ -15,10 +15,16 @@ The FF-DES for one spread symbol group (s*L chips) is the composition
               -> extrinsic symbol LLRs  (leave-one-out sum with index
                                          permutation by the spreading
                                          elements)
-              -> extrinsic chip LLRs    (log-sum-exp marginalization)
+              -> extrinsic chip LLRs    (marginalization over the bit
+                                         classes of each chip)
 
 and the hard decision uses the same marginalization on the total
-(all-positions) symbol LLR vector.
+(all-positions) symbol LLR vector.  Marginalization picks its method
+from the field size Q = 2^s: per-bit log-sum-exps for Q <= 4, and for
+Q >= 8 one exponential of each max-shifted vector followed by two
+matmuls with the bit-class indicator matrices.  Rows where a whole bit
+class underflows (possible on the unclamped analysis path) or whose
+input is not finite fall back to log-sum-exp.
 
 A flooding schedule updates all users in parallel each iteration, so
 results do not depend on user ordering.  ``decode_frame`` clamps LLRs to
@@ -37,10 +43,16 @@ from .codec import SpreadingVector, UserCodeSpec, permute
 from .gf import BitMapper, FieldSpec
 
 LLR_MAX = 50.0
+# Largest field size marginalized by per-bit log-sum-exps.  Below Q = 8 the
+# max-shift and exp of the matmul path alone cost more than the loop.
+_MAX_LSE_Q = 4
+_TINY = np.finfo(np.float64).tiny
 
 
 def _lse(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) along the last axis, max-stabilized."""
+    if x.shape[-1] == 1:  # m + log(exp(0)) is exactly m
+        return x[..., 0]
     m = np.max(x, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)  # all -inf: empty mass
     with np.errstate(divide="ignore"):
@@ -91,7 +103,12 @@ class _CodeKernel:
         self.L = int(sv_elements.shape[-1])
         self.batched = signs.ndim == 3 or np.asarray(sv_elements).ndim == 2
         self.wt = _weight_matrix(signs)                               # (.., s, Q)
-        self.order = _bit_order(signs)                                # (.., Q, s)
+        if self.q <= _MAX_LSE_Q:
+            self.order = _bit_order(signs)                            # (.., Q, s)
+        else:
+            plus = signs > 0
+            self.mass_plus = plus.astype(np.float64)                  # (.., Q, s)
+            self.mass_minus = (~plus).astype(np.float64)
         mt_cols = field.mul_table.T.astype(np.int64)                  # mt_cols[e, lam] = lam*e
         self.idx_tot = mt_cols[sv_elements]                           # (.., L, Q)
         self.idx_ext = mt_cols[field.inv_table[sv_elements]]          # (.., L, Q)
@@ -122,7 +139,52 @@ class _CodeKernel:
         return gathered - lsym
 
     def chip_llrs(self, sym_llrs: np.ndarray) -> np.ndarray:
-        """(.., Q) symbol LLR vectors -> (.., s) chip LLRs by marginalization."""
+        """(.., Q) symbol LLR vectors -> (.., s) chip LLRs by marginalization.
+
+        Each chip LLR is log(mass of the elements whose bit is +1) minus
+        log(mass of those whose bit is -1).  For Q <= 4 every bit gets
+        two half-size log-sum-exps over the ordered vector.  For Q >= 8
+        one ``exp`` of the max-shifted vector feeds two matmuls with the
+        0/1 bit-class indicator matrices, giving both masses of all s bits
+        at once.  A row where some class mass is not a positive normal
+        float (the whole class underflowed, or the input is not finite)
+        is recomputed by masked log-sum-exp, so extreme and +/-inf inputs
+        give what the log-sum-exp path gives.
+        """
+        if self.q <= _MAX_LSE_Q:
+            return self._chip_llrs_lse(sym_llrs)
+        shape = sym_llrs.shape[:-1] + (self.s,)
+        if self.mass_plus.ndim == 3:  # one mapper per sample: (b, .., Q) @ (b, Q, s)
+            x = sym_llrs.reshape(sym_llrs.shape[0], -1, self.q)
+        else:
+            x = sym_llrs
+        # non-finite and underflowed rows are recomputed after the block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = x - np.max(x, axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            p_plus = e @ self.mass_plus
+            p_minus = e @ self.mass_minus
+            del e
+            bad = None
+            if not np.minimum(p_plus, p_minus).min(initial=np.inf) >= _TINY:
+                bad = ~((p_plus >= _TINY) & (p_minus >= _TINY)).all(axis=-1)
+            out = np.log(p_plus, out=p_plus)
+            out -= np.log(p_minus, out=p_minus)
+        if bad is not None:
+            out[bad] = self._chip_llrs_masked(x, bad)
+        return out.reshape(shape)
+
+    def _chip_llrs_masked(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Masked log-sum-exp marginalization of the selected rows only."""
+        sel = np.nonzero(rows)
+        xr = x[sel][:, None, :]                                       # (r, 1, Q)
+        plus = self.mass_plus[sel[0]] if self.mass_plus.ndim == 3 else self.mass_plus
+        plus = np.swapaxes(plus, -1, -2) > 0                          # (.., s, Q)
+        return (_lse(np.where(plus, xr, -np.inf))
+                - _lse(np.where(plus, -np.inf, xr)))
+
+    def _chip_llrs_lse(self, sym_llrs: np.ndarray) -> np.ndarray:
+        """Per-bit marginalization by log-sum-exps over the ordered halves."""
         half = self.q // 2
         out = np.empty(sym_llrs.shape[:-1] + (self.s,))
         for n in range(self.s):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import (map_decision_oracle, map_despread_oracle,
+from helpers import (lse, map_decision_oracle, map_despread_oracle,
                      random_despread_instance, repetition_idma_decoder)
 
 from ffspread.channel import ChannelParams, transmit
@@ -110,6 +110,77 @@ class TestSymbolToChip:
             chips = rng.normal(size=3)
             back = symbol_to_chip_llr(chip_to_symbol_llr(chips, m), m)
             assert np.allclose(back, chips, atol=1e-9)
+
+
+def _per_bit_reference(x, signs):
+    """Chip LLRs by one log-sum-exp per bit class, row by row.
+
+    ``signs`` is (Q, s) for every row, or (b, Q, s) with one mapper per
+    leading index of ``x``.
+    """
+    out = np.empty(x.shape[:-1] + (signs.shape[-1],))
+    for idx in np.ndindex(*x.shape[:-1]):
+        sg = signs[idx[0]] if signs.ndim == 3 else signs
+        for n in range(sg.shape[1]):
+            out[idx + (n,)] = lse(x[idx][sg[:, n] > 0]) - lse(x[idx][sg[:, n] < 0])
+    return out
+
+
+def _marginalization_case(s, layout, rng, scale):
+    """(kernel, symbol LLR vectors, signs) for one kernel layout."""
+    field = build_field(s)
+    b, L = 4, 3
+    if layout == "per-user":
+        signs = random_mapper(s, (s, 1)).signs
+        sv = random_spreading(field, L, (s, 2)).elements
+        x = rng.normal(0.0, scale, size=(5, L, field.q))
+    else:  # one mapper and spreading vector per sample, as in the EXIT path
+        signs = np.stack([random_mapper(s, (s, i)).signs for i in range(b)])
+        sv = rng.integers(1, field.q, size=(b, L))
+        x = rng.normal(0.0, scale, size=(b, L, field.q))
+    return _CodeKernel(field, signs, sv), x, signs
+
+
+class TestChipLlrsKernel:
+    LAYOUTS = ("per-user", "per-sample")
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_matches_per_bit_reference(self, s, layout):
+        rng = np.random.default_rng(40 + s)
+        kern, x, signs = _marginalization_case(s, layout, rng, scale=20.0)
+        np.testing.assert_allclose(kern.chip_llrs(x), _per_bit_reference(x, signs),
+                                   rtol=1e-12, atol=1e-12)
+        # total-LLR shape: one vector per leading index
+        np.testing.assert_allclose(kern.chip_llrs(x[:, 0]),
+                                   _per_bit_reference(x[:, 0], signs),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_underflowing_class_stays_finite(self, s, layout):
+        rng = np.random.default_rng(50 + s)
+        kern, x, signs = _marginalization_case(s, layout, rng, scale=1e3)
+        want = _per_bit_reference(x, signs)
+        assert np.any(np.abs(want) > 800.0)  # exp(-800) underflows to 0
+        got = kern.chip_llrs(x)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_zero_vectors_give_exact_zero(self, s, layout):
+        kern, x, _ = _marginalization_case(s, layout, np.random.default_rng(0), 1.0)
+        assert np.all(kern.chip_llrs(np.zeros_like(x)) == 0.0)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_s1_is_a_subtraction(self, layout):
+        kern, x, signs = _marginalization_case(1, layout, np.random.default_rng(3), 20.0)
+        plus = signs[..., 0] > 0
+        if signs.ndim == 3:
+            plus = plus[:, None, :]
+        want = (np.where(plus, x, 0.0).sum(-1) - np.where(plus, 0.0, x).sum(-1))[..., None]
+        assert np.array_equal(kern.chip_llrs(x), want)
 
 
 class TestFfdesBlock:
