@@ -77,18 +77,28 @@ def make_interleaver(length: int, seed) -> Interleaver:
     return Interleaver(perm=perm, inv_perm=np.argsort(perm), seed=seed)
 
 
-def permute(values: np.ndarray, interleaver: Interleaver, direction: str = "forward") -> np.ndarray:
-    """Reorder a vector; 'forward' then 'inverse' is the identity."""
+def permute(values: np.ndarray, interleaver: Interleaver, direction: str = "forward",
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Reorder a vector; 'forward' then 'inverse' is the identity.
+
+    With ``out`` the result is written into that array and returned.
+    """
     values = np.asarray(values)
     if values.shape[-1] != interleaver.length:
         raise ValueError(
             f"vector length {values.shape[-1]} does not match interleaver length {interleaver.length}"
         )
     if direction == "forward":
-        return values[..., interleaver.perm]
-    if direction == "inverse":
-        return values[..., interleaver.inv_perm]
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        idx = interleaver.perm
+    elif direction == "inverse":
+        idx = interleaver.inv_perm
+    else:
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if out is None:
+        return values[..., idx]
+    # idx is a permutation of range(length), so "clip" never clips; unlike the
+    # default "raise" it writes into out without an intermediate copy
+    return np.take(values, idx, axis=-1, out=out, mode="clip")
 
 
 @dataclass(frozen=True)

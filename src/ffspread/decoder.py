@@ -19,7 +19,11 @@ The FF-DES for one spread symbol group (s*L chips) is the composition
                                          classes of each chip)
 
 and the hard decision uses the same marginalization on the total
-(all-positions) symbol LLR vector.  Marginalization picks its method
+(all-positions) symbol LLR vector.  The first two steps are linear in the
+chip LLRs: for one user's fixed mapper and spreading vector they run as
+one matmul with a precomputed dense (L*s, L*2^s) map whose own-position
+blocks are zero, and otherwise (per-sample mappers, or calls with fewer
+than L*s symbol groups) as index gathers.  Marginalization picks its method
 from the field size Q = 2^s: per-bit log-sum-exps for Q <= 4, and for
 Q >= 8 one exponential of each max-shifted vector followed by two
 matmuls with the bit-class indicator matrices.  Rows where a whole bit
@@ -34,6 +38,7 @@ unclamped so analysis code can reuse them bias-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +60,8 @@ def _lse(x: np.ndarray) -> np.ndarray:
         return x[..., 0]
     m = np.max(x, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)  # all -inf: empty mass
-    with np.errstate(divide="ignore"):
+    # exp can overflow only in a row whose max is +inf, whose sum is +inf anyway
+    with np.errstate(divide="ignore", over="ignore"):
         return np.squeeze(m, -1) + np.log(np.exp(x - m).sum(axis=-1))
 
 
@@ -89,12 +95,18 @@ def _align(idx: np.ndarray, shape: tuple, base_ndim: int) -> np.ndarray:
 
 
 class _CodeKernel:
-    """Precomputed gather tables for one (field, mapper, spreading) triple.
+    """Precomputed tables for one (field, mapper, spreading) triple.
 
     ``signs`` may carry a leading batch axis (one mapper per sample) and
-    ``sv_elements`` likewise; all methods then operate sample-wise.  The
-    unbatched (per-user) case uses plain fancy indexing, which is
-    measurably cheaper than take_along_axis in the decoding hot loop.
+    ``sv_elements`` likewise; all methods then operate sample-wise.
+
+    The steps of the despreader before marginalization are linear in the
+    chip LLRs.  With one shared mapper and spreading vector they compose
+    into one dense (L*s, L*Q) map, so ``despread`` is a single matmul
+    followed by marginalization.  The map is built on first use, and only
+    for calls with N >= L*s symbol groups: then it is no larger than the
+    (N, L, Q) block it replaces.  Smaller calls, and every per-sample
+    kernel, gather with ``take_along_axis``.
     """
 
     def __init__(self, field: FieldSpec, signs: np.ndarray, sv_elements: np.ndarray):
@@ -112,8 +124,20 @@ class _CodeKernel:
         mt_cols = field.mul_table.T.astype(np.int64)                  # mt_cols[e, lam] = lam*e
         self.idx_tot = mt_cols[sv_elements]                           # (.., L, Q)
         self.idx_ext = mt_cols[field.inv_table[sv_elements]]          # (.., L, Q)
-        if not self.batched:
-            self._rows = np.arange(self.L)[:, None]
+        self._m_ext = None
+
+    def _ext_map(self) -> np.ndarray:
+        """(L*s, L*Q) map from a group's chip LLRs to its extrinsic symbol LLRs.
+
+        Block (i, l) is ``wt[:, lam * inv(s_l) * s_i]``, the own-position
+        block (l, l) is zero, and so is column lam = 0 of every block.
+        """
+        if self._m_ext is None:
+            cols = self.idx_tot[:, self.idx_ext]                      # (L_i, L_l, Q)
+            m = self.wt[:, cols]                                      # (s, L_i, L_l, Q)
+            m[:, np.arange(self.L), np.arange(self.L)] = 0.0
+            self._m_ext = m.transpose(1, 0, 2, 3).reshape(self.L * self.s, self.L * self.q)
+        return self._m_ext
 
     def symbol_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """(.., L, s) chip LLRs -> (.., L, Q) a-priori symbol LLR vectors."""
@@ -121,21 +145,16 @@ class _CodeKernel:
 
     def total_llrs(self, lsym: np.ndarray) -> np.ndarray:
         """All-positions symbol LLR vector: ltot[lam] = sum_i lsym[i, lam*s_i]."""
-        if self.batched:
-            idx = _align(self.idx_tot, lsym.shape, base_ndim=2)
-            return np.take_along_axis(lsym, idx, axis=-1).sum(axis=-2)
-        return lsym[..., self._rows, self.idx_tot].sum(axis=-2)
+        idx = _align(self.idx_tot, lsym.shape, base_ndim=2)
+        return np.take_along_axis(lsym, idx, axis=-1).sum(axis=-2)
 
     def extrinsic_symbol_llrs(self, lsym: np.ndarray) -> np.ndarray:
         """Leave-one-out symbol LLRs for every position, via total minus own term."""
         ltot = self.total_llrs(lsym)
-        if self.batched:
-            idx = _align(self.idx_ext, lsym.shape, base_ndim=2)
-            gathered = np.take_along_axis(
-                np.broadcast_to(ltot[..., None, :], lsym.shape), idx, axis=-1
-            )
-        else:
-            gathered = ltot[..., self.idx_ext]
+        idx = _align(self.idx_ext, lsym.shape, base_ndim=2)
+        gathered = np.take_along_axis(
+            np.broadcast_to(ltot[..., None, :], lsym.shape), idx, axis=-1
+        )
         return gathered - lsym
 
     def chip_llrs(self, sym_llrs: np.ndarray) -> np.ndarray:
@@ -198,7 +217,12 @@ class _CodeKernel:
 
     def despread(self, chip_llrs: np.ndarray) -> np.ndarray:
         """Full FF-DES: (.., L, s) prior chip LLRs -> (.., L, s) extrinsic chip LLRs."""
-        return self.chip_llrs(self.extrinsic_symbol_llrs(self.symbol_llrs(chip_llrs)))
+        lead = chip_llrs.shape[:-2]
+        rows = self.L * self.s
+        if self.batched or rows > math.prod(lead):
+            return self.chip_llrs(self.extrinsic_symbol_llrs(self.symbol_llrs(chip_llrs)))
+        ext = chip_llrs.reshape(lead + (rows,)) @ self._ext_map()
+        return self.chip_llrs(ext.reshape(lead + (self.L, self.q)))
 
 
 def chip_to_symbol_llr(chip_llrs, mapper: BitMapper) -> np.ndarray:
@@ -312,19 +336,30 @@ def ese_extrinsic(y_t: float, priors, params: ChannelParams) -> float:
 
 
 def _ese_all(y: np.ndarray, la_x: np.ndarray, amplitude: float, n0: float) -> np.ndarray:
-    """Vectorized ESE for all users and positions via leave-one-out sums."""
-    t = np.tanh(la_x * 0.5)
-    v = 1.0 - t * t
+    """Vectorized ESE for all users and positions via leave-one-out sums.
+
+    Evaluates 2a (y - a (sum t - t)) / (a^2 (sum v - v) + n0/2) with
+    t = tanh(la_x / 2) and v = 1 - t^2, in two (K, T) buffers.
+    """
+    t = np.multiply(la_x, 0.5)
+    np.tanh(t, out=t)
+    v = np.multiply(t, t)
+    np.subtract(1.0, v, out=v)
     st = t.sum(axis=0)
     sv = v.sum(axis=0)
-    num = 2.0 * amplitude * (y[None, :] - amplitude * (st[None, :] - t))
-    den = amplitude * amplitude * (sv[None, :] - v) + 0.5 * n0
+    num = np.subtract(st, t, out=t)
+    num *= amplitude
+    np.subtract(y, num, out=num)
+    num *= 2.0 * amplitude
+    den = np.subtract(sv, v, out=v)
+    den *= amplitude * amplitude
+    den += 0.5 * n0
     if n0 > 0:
-        return num / den
+        return np.divide(num, den, out=num)
     # noiseless override: the denominator can reach zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    return np.nan_to_num(out, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
+        np.divide(num, den, out=num)
+    return np.nan_to_num(num, copy=False, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
 
 
 @dataclass
@@ -398,13 +433,16 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     trace = np.zeros((iterations, K))
 
     for it in range(iterations):
-        ese = np.clip(_ese_all(y, la_x, params.amplitude, params.n0), -LLR_MAX, LLR_MAX)
+        ese = _ese_all(y, la_x, params.amplitude, params.n0)
+        np.clip(ese, -LLR_MAX, LLR_MAX, out=ese)
         for k, sp in enumerate(specs):
-            la_c[k] = permute(ese[k], sp.interleaver, "inverse")
+            permute(ese[k], sp.interleaver, "inverse", out=la_c[k])
             groups = la_c[k].reshape(sp.n_symbols, sp.L, sp.s)
-            le = np.clip(kernels[k].despread(groups), -LLR_MAX, LLR_MAX)
+            le = kernels[k].despread(groups)
+            np.clip(le, -LLR_MAX, LLR_MAX, out=le)
             extr = permute(le.reshape(-1), sp.interleaver, "forward")
-            la_x[k] = damping * la_x[k] + (1.0 - damping) * extr
+            la_x[k] *= damping
+            la_x[k] += (1.0 - damping) * extr
             if true_chips is not None:
                 trace[it, k] = float(np.mean(true_chips[k] * extr))
             else:

@@ -56,6 +56,16 @@ class TestInterleaver:
         assert np.array_equal(permute(permute(v, il, "forward"), il, "inverse"), v)
         assert np.array_equal(permute(permute(v, il, "inverse"), il, "forward"), v)
 
+    def test_out_matches_new_array(self):
+        rng = np.random.default_rng(4)
+        il = make_interleaver(40, 7)
+        v = rng.normal(size=(3, 40))
+        for direction in ("forward", "inverse"):
+            out = np.empty_like(v)
+            got = permute(v, il, direction, out=out)
+            assert got is out
+            assert np.array_equal(out, permute(v, il, direction))
+
     def test_multiset_preserved(self):
         il = make_interleaver(30, 2)
         v = np.arange(30.0)

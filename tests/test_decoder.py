@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from helpers import (lse, map_decision_oracle, map_despread_oracle,
                      random_despread_instance, repetition_idma_decoder)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
                             random_spreading)
-from ffspread.decoder import (LLR_MAX, _CodeKernel, chip_to_symbol_llr,
+from ffspread.decoder import (LLR_MAX, _CodeKernel, _lse, chip_to_symbol_llr,
                               decode_frame, ese_extrinsic, ffdes_block,
                               symbol_to_chip_llr, total_llr_and_decide,
                               variable_extrinsic, write_trace_csv)
@@ -181,6 +183,77 @@ class TestChipLlrsKernel:
             plus = plus[:, None, :]
         want = (np.where(plus, x, 0.0).sum(-1) - np.where(plus, 0.0, x).sum(-1))[..., None]
         assert np.array_equal(kern.chip_llrs(x), want)
+
+    def test_positive_inf_next_to_large_value(self):
+        # bit classes holding +inf beside 1e300 once overflowed in exp; the
+        # pytest configuration turns that RuntimeWarning into a failure
+        kern, _, signs = _marginalization_case(3, "per-user", np.random.default_rng(4), 1.0)
+        x = np.zeros((2, 8))
+        x[:, 1] = np.inf
+        x[0, 2:] = 1e300
+        x[1, 2:] = -1e300
+        got = kern.chip_llrs(x)
+        assert np.array_equal(got, np.broadcast_to(signs[1] * np.inf, got.shape))
+
+
+class TestLse:
+    def test_positive_inf_row_is_inf_without_warning(self):
+        x = np.array([[np.inf, 1e300], [1e300, np.inf], [np.inf, -np.inf],
+                      [-np.inf, -np.inf], [0.0, 1.0]])
+        got = _lse(x)
+        assert got[:3].tolist() == [np.inf] * 3
+        assert got[3] == -np.inf
+        assert got[4] == pytest.approx(np.log1p(np.e), rel=1e-15)
+
+
+class TestDenseMapDespread:
+    """``despread`` takes the dense map iff L*s <= N, the number of groups."""
+
+    CASES = [(s, L) for s in range(1, 7) for L in (1, 2, 5)] + [
+        (1, 129), (2, 64), (4, 32), (4, 64), (6, 22)]
+
+    @pytest.mark.parametrize("s,L", CASES)
+    def test_both_paths_match_gather_and_oracle(self, s, L):
+        rng = np.random.default_rng(60 + 7 * s + L)
+        field = build_field(s)
+        mapper = random_mapper(s, (s, L, 1))
+        sv = random_spreading(field, L, (s, L, 2))
+        rows = L * s
+        for n in sorted({rows, max(rows - 1, 1)}):
+            kern = _CodeKernel(field, mapper.signs, sv.elements)
+            x = rng.normal(0.0, 3.0, size=(n, L, s))
+            got = kern.despread(x)
+            assert (kern._m_ext is not None) == (rows <= n)
+            gathered = kern.chip_llrs(kern.extrinsic_symbol_llrs(kern.symbol_llrs(x)))
+            np.testing.assert_allclose(got, gathered, rtol=1e-12, atol=1e-12)
+            for g in range(min(n, 2)):
+                want = map_despread_oracle(x[g].reshape(-1), sv, mapper, field)
+                np.testing.assert_allclose(got[g].reshape(-1), want, rtol=0, atol=1e-9)
+
+    def test_map_keeps_entry_zero_and_own_block_zero(self):
+        field = build_field(3)
+        kern = _CodeKernel(field, random_mapper(3, 5).signs,
+                           random_spreading(field, 4, 6).elements)
+        m = kern._ext_map().reshape(4, 3, 4, field.q)
+        assert np.all(m[..., 0] == 0.0)
+        for ell in range(4):
+            assert np.all(m[ell, :, ell] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 6), L=st.integers(1, 6), data=st.data(),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    def test_own_prior_never_reaches_own_extrinsic(self, s, L, data, seed, scale):
+        rng = np.random.default_rng(seed)
+        field = build_field(s)
+        kern = _CodeKernel(field, random_mapper(s, seed).signs,
+                           rng.integers(1, field.q, size=L))
+        ell = data.draw(st.integers(0, L - 1))
+        x = rng.normal(0.0, 3.0, size=(L * s, L, s))
+        base = kern.despread(x)
+        assert kern._m_ext is not None
+        x[:, ell] += rng.normal(0.0, scale, size=(L * s, s))
+        assert np.array_equal(kern.despread(x)[:, ell], base[:, ell])
 
 
 class TestFfdesBlock:
