@@ -8,9 +8,7 @@ from .channel import ChannelParams, transmit
 from .codec import (Interleaver, SpreadingVector, UserCodeSpec, encode_user,
                     identity_interleaver, make_interleaver, ones_spreading,
                     permute, random_spreading, spread_block)
-from .decoder import (LLR_MAX, DecodeResult, chip_to_symbol_llr, decode_frame,
-                      ese_extrinsic, ffdes_block, symbol_to_chip_llr,
-                      total_llr_and_decide, variable_extrinsic)
+from .decoder import LLR_MAX, DecodeResult, decode_frame, ffdes_block
 from .gf import (BitMapper, FieldSpec, build_field, demap, demap_bit, map_bits,
                  natural_mapper, random_mapper)
 from .slope import (OracleResult, SlopeReport, g_closed_form, g_oracle,
@@ -21,15 +19,13 @@ __all__ = [
     "BitMapper", "ChannelParams", "DecodeResult", "DEFAULT_GRID", "ExitCurve",
     "FieldSpec", "Interleaver", "LLR_MAX", "OracleResult", "SlopeReport",
     "SpreadingVector", "TunnelResult", "UserCodeSpec", "build_field",
-    "chip_to_symbol_llr", "decode_frame", "demap", "demap_bit", "encode_user",
-    "ese_curve", "ese_extrinsic", "exit_ese", "exit_ffdes_approx",
-    "exit_ffdes_exact", "ffdes_approx_curve", "ffdes_block",
-    "ffdes_exact_curve", "g_closed_form", "g_oracle", "identity_interleaver",
-    "make_interleaver", "map_bits", "natural_mapper", "ones_spreading",
-    "permute", "predict_ber", "random_mapper", "random_spreading",
-    "slope_report", "spread_block", "standard_slope", "standard_slope_exact",
-    "symbol_to_chip_llr", "total_llr_and_decide", "transmit", "tunnel_check",
-    "variable_extrinsic",
+    "decode_frame", "demap", "demap_bit", "encode_user", "ese_curve",
+    "exit_ese", "exit_ffdes_approx", "exit_ffdes_exact", "ffdes_approx_curve",
+    "ffdes_block", "ffdes_exact_curve", "g_closed_form", "g_oracle",
+    "identity_interleaver", "make_interleaver", "map_bits", "natural_mapper",
+    "ones_spreading", "permute", "predict_ber", "random_mapper",
+    "random_spreading", "slope_report", "spread_block", "standard_slope",
+    "standard_slope_exact", "transmit", "tunnel_check",
 ]
 
 __version__ = "0.1.0"

@@ -40,6 +40,8 @@ from .decoder import decode_frame
 from .gf import build_field, natural_mapper, random_mapper
 
 MAX_CHIPS_PER_USER = 1 << 24
+# entries of one user's (N, L*2^s) float64 despreader block: 2^24 is 128 MiB
+MAX_DESPREAD_ENTRIES = 1 << 24
 
 
 class ConfigError(Exception):
@@ -91,6 +93,11 @@ class RunConfig:
             problems.append(
                 f"s*n*l = {self.s * self.n * self.l} exceeds the per-user "
                 f"chip budget {MAX_CHIPS_PER_USER}"
+            )
+        if 1 <= self.s <= 12 and self.n * self.l * 2 ** self.s > MAX_DESPREAD_ENTRIES:
+            problems.append(
+                f"n*l*2^s = {self.n * self.l * 2 ** self.s} exceeds the despreader "
+                f"budget {MAX_DESPREAD_ENTRIES} (float64 entries per user)"
             )
         if problems:
             raise ConfigError(problems)
@@ -283,28 +290,28 @@ def write_prediction(path, s: int, l: int, eb_n0_db_list) -> None:
 # configuration file / flag handling
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"eb_n0_db"}
-_BOOL_KEYS = {"noiseless"}
-_INT_KEYS = {"k", "s", "l", "n", "iterations", "seed", "workers",
-             "min_errors", "max_frames"}
-_STR_KEYS = {"mapper", "sv", "outdir"}
-CONFIG_KEYS = _LIST_KEYS | _BOOL_KEYS | _INT_KEYS | _STR_KEYS
+def _parse_floats(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.replace(",", " ").split())
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# RunConfig's field annotations are strings under postponed evaluation
+_PARSERS = {"int": int, "tuple": _parse_floats, "bool": _parse_bool, "str": str.strip}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+CONFIG_KEYS = frozenset(_KEY_PARSERS)
 
 
 def _parse_value(key: str, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-        if key in _BOOL_KEYS:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw.strip()
+        return _KEY_PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError([f"bad value for {key}: {exc}"]) from exc
 
@@ -347,15 +354,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per ``RunConfig`` field; a value that does not parse exits with status 2."""
     p.add_argument("--config", help="flat key=value configuration file")
-    for key in sorted(_INT_KEYS):
-        p.add_argument(f"--{key}", type=int)
-    p.add_argument("--eb_n0_db", type=lambda v: _parse_value("eb_n0_db", v),
-                   help="comma-separated list of Eb/N0 points in dB")
-    p.add_argument("--noiseless", type=lambda v: _parse_value("noiseless", v))
-    p.add_argument("--mapper", choices=("natural", "random"))
-    p.add_argument("--sv", choices=("random", "all-ones"))
-    p.add_argument("--outdir")
+    for key, parse in _KEY_PARSERS.items():
+        p.add_argument(f"--{key}", type=parse)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="asymptotic BER prediction CSV")
     p_pred.add_argument("--s", type=int, required=True)
     p_pred.add_argument("--l", type=int, required=True)
-    p_pred.add_argument("--eb_n0_db", type=lambda v: _parse_value("eb_n0_db", v),
+    p_pred.add_argument("--eb_n0_db", type=_parse_floats,
                         default=(2.0, 4.0, 6.0, 8.0, 10.0))
     p_pred.add_argument("--out", default="ber_prediction.csv")
 

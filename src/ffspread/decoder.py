@@ -19,7 +19,11 @@ The FF-DES for one spread symbol group (s*L chips) is the composition
                                          classes of each chip)
 
 and the hard decision uses the same marginalization on the total
-(all-positions) symbol LLR vector.  The first two steps are linear in the
+(all-positions) symbol LLR vector.  ``_CodeKernel`` implements both once,
+with two entry points: ``despread`` (prior chip LLRs -> extrinsic chip
+LLRs, each iteration) and ``total_bit_llrs`` (prior chip LLRs -> posterior
+bit LLRs, the final decision); ``ffdes_block`` is the public wrapper of
+``despread`` for one group.  The first two steps are linear in the
 chip LLRs: for one user's fixed mapper and spreading vector they run as
 one matmul with a precomputed dense (L*s, L*2^s) map whose own-position
 blocks are zero, and otherwise (per-sample mappers, or calls with fewer
@@ -224,57 +228,9 @@ class _CodeKernel:
         ext = chip_llrs.reshape(lead + (rows,)) @ self._ext_map()
         return self.chip_llrs(ext.reshape(lead + (self.L, self.q)))
 
-
-def chip_to_symbol_llr(chip_llrs, mapper: BitMapper) -> np.ndarray:
-    """Transform s chip LLRs into the length-2^s symbol LLR vector.
-
-    Entry lam holds sum_m (demapped_bit_m(lam) - demapped_bit_m(0))/2
-    times the m-th chip LLR; entry 0 is exactly zero.
-    """
-    chip_llrs = np.asarray(chip_llrs, dtype=np.float64)
-    if chip_llrs.shape[-1] != mapper.s:
-        raise ValueError(f"expected {mapper.s} chip LLRs, got {chip_llrs.shape}")
-    return chip_llrs @ _weight_matrix(mapper.signs)
-
-
-def variable_extrinsic(symbol_llrs, sv: SpreadingVector, exclude: int) -> np.ndarray:
-    """Extrinsic symbol LLR vector at spreading position ``exclude`` (1-based).
-
-    Sums the other positions' a-priori vectors at permuted indices
-    lam * inv(s_exclude) * s_i.
-    """
-    symbol_llrs = np.asarray(symbol_llrs, dtype=np.float64)
-    L = sv.length
-    if not 1 <= exclude <= L:
-        raise ValueError(f"exclude={exclude} out of range [1, {L}]")
-    if symbol_llrs.shape != (L, sv.field.q):
-        raise ValueError(f"expected {L} symbol LLR vectors of length {sv.field.q}")
-    field = sv.field
-    ell = exclude - 1
-    inv_sl = field.inv_table[sv.elements[ell]]
-    out = np.zeros(field.q)
-    lam = np.arange(field.q)
-    for i in range(L):
-        if i == ell:
-            continue
-        idx = field.mul_table[field.mul_table[lam, inv_sl], sv.elements[i]]
-        out += symbol_llrs[i, idx.astype(np.int64)]
-    return out
-
-
-def symbol_to_chip_llr(symbol_llrs, mapper: BitMapper) -> np.ndarray:
-    """Marginalize a symbol LLR vector into s chip LLRs (log-sum-exp stabilized)."""
-    symbol_llrs = np.asarray(symbol_llrs, dtype=np.float64)
-    if symbol_llrs.shape[-1] != mapper.signs.shape[0]:
-        raise ValueError("symbol LLR vector length does not match mapper size")
-    half = symbol_llrs.shape[-1] // 2
-    order = _bit_order(mapper.signs)
-    out = np.empty(symbol_llrs.shape[:-1] + (mapper.s,))
-    for n in range(mapper.s):
-        idx = np.broadcast_to(order[:, n], symbol_llrs.shape)
-        ordered = np.take_along_axis(symbol_llrs, idx, axis=-1)
-        out[..., n] = _lse(ordered[..., half:]) - _lse(ordered[..., :half])
-    return np.nan_to_num(out, nan=0.0, posinf=LLR_MAX, neginf=-LLR_MAX)
+    def total_bit_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
+        """Hard-decision input: (.., L, s) prior chip LLRs -> (.., s) posterior bit LLRs."""
+        return self.chip_llrs(self.total_llrs(self.symbol_llrs(chip_llrs)))
 
 
 def ffdes_block(prior_chip_llrs, sv: SpreadingVector, mapper: BitMapper) -> np.ndarray:
@@ -290,49 +246,6 @@ def ffdes_block(prior_chip_llrs, sv: SpreadingVector, mapper: BitMapper) -> np.n
     kern = _CodeKernel(sv.field, mapper.signs, sv.elements)
     out = kern.despread(prior.reshape(prior.shape[:-1] + (L, s)))
     return out.reshape(prior.shape)
-
-
-def total_llr_and_decide(symbol_llrs, sv: SpreadingVector, mapper: BitMapper,
-                         symbol_decision: bool = False):
-    """Total posterior symbol LLR vector -> s info-bit decisions and LLRs.
-
-    Sums all L a-priori vectors at indices lam * s_i (no position left
-    out), marginalizes to bit LLRs, and decides by sign with ties
-    resolved to +1.  With ``symbol_decision`` the bits come from the
-    argmax field element instead.
-    """
-    symbol_llrs = np.asarray(symbol_llrs, dtype=np.float64)
-    L = sv.length
-    if symbol_llrs.shape != (L, sv.field.q):
-        raise ValueError(f"expected {L} symbol LLR vectors of length {sv.field.q}")
-    field = sv.field
-    lam = np.arange(field.q)
-    ltot = np.zeros(field.q)
-    for i in range(L):
-        idx = field.mul_table[lam, sv.elements[i]].astype(np.int64)
-        ltot += symbol_llrs[i, idx]
-    bit_llrs = symbol_to_chip_llr(ltot, mapper)
-    if symbol_decision:
-        decisions = mapper.signs[int(np.argmax(ltot))].astype(np.int8)
-    else:
-        decisions = np.where(bit_llrs >= 0, 1, -1).astype(np.int8)
-    return decisions, bit_llrs
-
-
-def ese_extrinsic(y_t: float, priors, params: ChannelParams) -> float:
-    """Extrinsic chip LLR from one received symbol, treating the other
-    users' aggregate as Gaussian.
-
-    ``priors`` holds the K-1 interfering users' a-priori chip LLRs at
-    this position (an empty sequence for K=1).
-    """
-    priors = np.asarray(priors, dtype=np.float64)
-    a = params.amplitude
-    t = np.tanh(priors / 2.0)
-    num = 2.0 * a * (y_t - a * t.sum())
-    den = a * a * (1.0 - t * t).sum() + params.n0 / 2.0
-    with np.errstate(divide="ignore"):
-        return float(num / den)
 
 
 def _ese_all(y: np.ndarray, la_x: np.ndarray, amplitude: float, n0: float) -> np.ndarray:
@@ -384,7 +297,6 @@ def write_trace_csv(path, trace: np.ndarray) -> None:
 
 def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams,
                  iterations: int = 50, true_chips: np.ndarray | None = None,
-                 symbol_decision: bool = False,
                  damping: float = 0.5) -> DecodeResult:
     """Iterative multi-user decoding of one frame.
 
@@ -449,17 +361,10 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
                 trace[it, k] = float(np.mean(np.abs(extr)))
 
     s_n = specs[0].s * specs[0].n_symbols
-    decisions = np.empty((K, s_n), dtype=np.int8)
     bit_llrs = np.empty((K, s_n))
     for k, sp in enumerate(specs):
-        kern = kernels[k]
-        lsym = kern.symbol_llrs(la_c[k].reshape(sp.n_symbols, sp.L, sp.s))
-        ltot = kern.total_llrs(lsym)                       # (N, Q)
-        llrs = kern.chip_llrs(ltot)                        # (N, s)
-        bit_llrs[k] = llrs.reshape(-1)
-        if symbol_decision:
-            decisions[k] = sp.mapper.signs[np.argmax(ltot, axis=-1)].reshape(-1)
-        else:
-            decisions[k] = np.where(bit_llrs[k] >= 0, 1, -1)
+        groups = la_c[k].reshape(sp.n_symbols, sp.L, sp.s)
+        bit_llrs[k] = kernels[k].total_bit_llrs(groups).reshape(-1)
+    decisions = np.where(bit_llrs >= 0, 1, -1).astype(np.int8)
     return DecodeResult(decisions=decisions, bit_llrs=bit_llrs, trace=trace,
                         chip_priors=la_c)

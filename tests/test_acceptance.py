@@ -22,7 +22,7 @@ from ffspread.analysis import (DEFAULT_GRID, exit_ese, exit_ffdes_approx,
                                exit_ffdes_exact)
 from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import encode_user
-from ffspread.decoder import _CodeKernel, decode_frame, ffdes_block, total_llr_and_decide
+from ffspread.decoder import _CodeKernel, decode_frame, ffdes_block
 from ffspread.slope import g_closed_form, g_oracle, standard_slope, standard_slope_exact
 
 
@@ -69,9 +69,9 @@ def test_03_despreader_matches_map_oracle():
         got = ffdes_block(prior, sv, mapper)
         want = map_despread_oracle(prior, sv, mapper, field)
         worst_ext = max(worst_ext, float(np.max(np.abs(got - want))))
+        # decode_frame's own decision path
         kern = _CodeKernel(field, mapper.signs, sv.elements)
-        vecs = kern.symbol_llrs(prior.reshape(sv.elements.size, mapper.s))
-        _, llrs = total_llr_and_decide(vecs, sv, mapper)
+        llrs = kern.total_bit_llrs(prior.reshape(sv.elements.size, mapper.s))
         want_tot = map_decision_oracle(prior, sv, mapper, field)
         worst_tot = max(worst_tot, float(np.max(np.abs(llrs - want_tot))))
     elapsed = time.perf_counter() - t0

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ffspread.cli import (BerRecord, ConfigError, FitError, RunConfig,
-                          build_user_specs, fit_slope, load_config_file, main,
-                          read_ber_csv, resolve_config, run_ber_sweep,
-                          write_ber_csv)
+from ffspread.cli import (MAX_CHIPS_PER_USER, BerRecord, ConfigError, FitError,
+                          RunConfig, build_user_specs, fit_slope,
+                          load_config_file, main, read_ber_csv, resolve_config,
+                          run_ber_sweep, write_ber_csv)
 
 
 class TestConfig:
@@ -30,6 +30,15 @@ class TestConfig:
         cfg = RunConfig(s=12, n=2_000_000, l=8)
         with pytest.raises(ConfigError, match="chip budget"):
             cfg.validate()
+
+    def test_despreader_memory_budget(self):
+        # inside the chip budget, but one (N, L*2^s) float64 block is ~26 GB
+        cfg = RunConfig(s=12, n=100_000, l=8)
+        assert cfg.s * cfg.n * cfg.l <= MAX_CHIPS_PER_USER
+        with pytest.raises(ConfigError, match="despreader budget") as exc:
+            cfg.validate()
+        assert len(exc.value.problems) == 1
+        RunConfig(s=4, n=3000, l=8).validate()  # the largest benchmark sweep
 
     def test_config_file_and_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -181,6 +190,16 @@ class TestMainEntry:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("k = 0\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flags", [["--mapper", "weird"], ["--k", "two"],
+                                       ["--noiseless", "maybe"]])
+    def test_bad_flag_exit_code(self, flags, tmp_path):
+        try:
+            code = main(["simulate", "--outdir", str(tmp_path), *flags])
+        except SystemExit as exc:  # argparse refuses a value that does not parse
+            code = exc.code
+        assert code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_exit_subcommand_writes_csv(self, tmp_path):
         code = main(["exit", "--s", "1", "--l", "4", "--k", "2",

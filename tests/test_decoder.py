@@ -9,10 +9,8 @@ from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
                             random_spreading)
-from ffspread.decoder import (LLR_MAX, _CodeKernel, _lse, chip_to_symbol_llr,
-                              decode_frame, ese_extrinsic, ffdes_block,
-                              symbol_to_chip_llr, total_llr_and_decide,
-                              variable_extrinsic, write_trace_csv)
+from ffspread.decoder import (LLR_MAX, _CodeKernel, _ese_all, _lse, decode_frame,
+                              ffdes_block, write_trace_csv)
 from ffspread.gf import build_field, natural_mapper, random_mapper
 
 
@@ -21,96 +19,99 @@ def gf4():
     return build_field(2)
 
 
+def _kernel(mapper, sv_elements=(1,)):
+    """Kernel for one mapper; the default spreading is the single element 1."""
+    return _CodeKernel(build_field(mapper.s), mapper.signs, np.asarray(sv_elements))
+
+
+def _ese_user0(y_t, priors, params):
+    """User 0's ESE output at one position, given the other users' priors.
+
+    User 0's own prior is nonzero: the leave-one-out sums must ignore it.
+    """
+    la_x = np.array([[-7.5], *([p] for p in priors)])
+    return float(_ese_all(np.array([y_t]), la_x, params.amplitude, params.n0)[0, 0])
+
+
 class TestEse:
     def test_matched_filter(self):
         params = ChannelParams(K=1, L=1, eb_n0_db=10 * np.log10(0.5))  # N0 = 2
-        assert ese_extrinsic(0.5, [], params) == pytest.approx(1.0)
+        assert _ese_user0(0.5, [], params) == pytest.approx(1.0)
 
     def test_known_interferer_cancels(self):
         params = ChannelParams(K=2, L=1, eb_n0_db=3.0)
         y = 0.37
-        got = ese_extrinsic(y, [LLR_MAX], params)
+        got = _ese_user0(y, [LLR_MAX], params)
         want = 4.0 * (y - 1.0) / params.n0
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_uninformative_prior(self):
         params = ChannelParams(K=2, L=1, eb_n0_db=0.0)  # Eb/L = 1, N0 = 1
-        assert ese_extrinsic(1.0, [0.0], params) == pytest.approx(4.0 / 3.0)
+        assert _ese_user0(1.0, [0.0], params) == pytest.approx(4.0 / 3.0)
 
 
 class TestChipToSymbol:
     def test_s1(self):
-        m = natural_mapper(1)
-        out = chip_to_symbol_llr([1.7], m)
+        out = _kernel(natural_mapper(1)).symbol_llrs(np.array([1.7]))
         assert out.tolist() == [0.0, 1.7]
 
     def test_s2_hand_evaluated(self):
-        m = natural_mapper(2)
-        assert chip_to_symbol_llr([1.0, 2.0], m).tolist() == [0.0, 2.0, 1.0, 3.0]
+        kern = _kernel(natural_mapper(2))
+        assert kern.symbol_llrs(np.array([1.0, 2.0])).tolist() == [0.0, 2.0, 1.0, 3.0]
 
     def test_zero_input(self):
-        m = random_mapper(3, 1)
-        assert np.all(chip_to_symbol_llr(np.zeros(3), m) == 0.0)
+        kern = _kernel(random_mapper(3, 1))
+        assert np.all(kern.symbol_llrs(np.zeros(3)) == 0.0)
 
     def test_entry_zero_stays_zero(self):
         rng = np.random.default_rng(0)
         for seed in range(10):
-            m = random_mapper(3, seed)
-            out = chip_to_symbol_llr(rng.normal(size=3), m)
+            out = _kernel(random_mapper(3, seed)).symbol_llrs(rng.normal(size=3))
             assert out[0] == 0.0
 
 
 class TestVariableExtrinsic:
-    def test_identity_passthrough(self, gf4):
-        f1 = build_field(1)
-        sv = ones_spreading(f1, 2)
+    def test_identity_passthrough(self):
+        kern = _kernel(natural_mapper(1), ones_spreading(build_field(1), 2).elements)
         vecs = np.array([[0.0, 1.0], [0.0, -2.5]])
-        out = variable_extrinsic(vecs, sv, exclude=1)
-        assert out.tolist() == [0.0, -2.5]
+        out = kern.extrinsic_symbol_llrs(vecs)
+        assert out[0].tolist() == [0.0, -2.5]
 
     def test_permuted_copy(self, gf4):
-        sv = SpreadingVector(gf4, np.array([1, 2]))
+        kern = _kernel(natural_mapper(2), [1, 2])
         rng = np.random.default_rng(1)
         vecs = rng.normal(size=(2, 4))
         vecs[:, 0] = 0.0
-        out = variable_extrinsic(vecs, sv, exclude=1)
+        out = kern.extrinsic_symbol_llrs(vecs)
         # single remaining term: input2 at index mul(lam, 2)
         expect = vecs[1, gf4.mul_table[np.arange(4), 2]]
-        assert np.allclose(out, expect)
+        assert np.allclose(out[0], expect)
 
     def test_sum_of_copies(self, gf4):
-        sv = ones_spreading(gf4, 3)
+        kern = _kernel(natural_mapper(2), ones_spreading(gf4, 3).elements)
         v = np.array([0.0, 0.5, -1.0, 2.0])
-        out = variable_extrinsic(np.tile(v, (3, 1)), sv, exclude=2)
-        assert np.allclose(out, 2 * v)
-
-    def test_exclude_range(self, gf4):
-        sv = ones_spreading(gf4, 2)
-        with pytest.raises(ValueError):
-            variable_extrinsic(np.zeros((2, 4)), sv, exclude=3)
+        out = kern.extrinsic_symbol_llrs(np.tile(v, (3, 1)))
+        assert np.allclose(out[1], 2 * v)
 
 
 class TestSymbolToChip:
     def test_s1_two_term(self):
-        m = natural_mapper(1)
-        assert symbol_to_chip_llr([0.0, 1.3], m).tolist() == [1.3]
+        assert _kernel(natural_mapper(1)).chip_llrs(np.array([0.0, 1.3])).tolist() == [1.3]
 
     def test_s2_hand_evaluated(self):
-        m = natural_mapper(2)
-        out = symbol_to_chip_llr([0.0, 2.0, 1.0, 3.0], m)
+        out = _kernel(natural_mapper(2)).chip_llrs(np.array([0.0, 2.0, 1.0, 3.0]))
         assert np.allclose(out, [1.0, 2.0], atol=1e-12)
 
     def test_uniform_vector(self):
-        m = random_mapper(2, 5)
-        assert np.allclose(symbol_to_chip_llr(np.zeros(4), m), 0.0)
+        assert np.allclose(_kernel(random_mapper(2, 5)).chip_llrs(np.zeros(4)), 0.0)
 
     def test_inverts_chip_to_symbol(self):
         # additive vectors factor exactly, so the round trip is exact
         rng = np.random.default_rng(2)
         for seed in range(10):
-            m = random_mapper(3, seed)
+            kern = _kernel(random_mapper(3, seed))
             chips = rng.normal(size=3)
-            back = symbol_to_chip_llr(chip_to_symbol_llr(chips, m), m)
+            back = kern.chip_llrs(kern.symbol_llrs(chips))
             assert np.allclose(back, chips, atol=1e-9)
 
 
@@ -278,19 +279,6 @@ class TestFfdesBlock:
             assert np.allclose(out[ell * 2:(ell + 1) * 2],
                                base[ell * 2:(ell + 1) * 2], atol=1e-9)
 
-    def test_matches_composition_of_ops(self, gf4):
-        rng = np.random.default_rng(4)
-        m = random_mapper(2, 9)
-        sv = random_spreading(gf4, 3, 10)
-        prior = rng.normal(size=6)
-        out = ffdes_block(prior, sv, m)
-        vecs = np.stack([chip_to_symbol_llr(prior[2 * i:2 * i + 2], m)
-                         for i in range(3)])
-        for ell in range(3):
-            ext = variable_extrinsic(vecs, sv, exclude=ell + 1)
-            chips = symbol_to_chip_llr(ext, m)
-            assert np.allclose(out[2 * ell:2 * ell + 2], chips, atol=1e-9)
-
     def test_matches_map_oracle(self):
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -313,30 +301,29 @@ class TestFfdesBlock:
 
 class TestTotalLlrAndDecide:
     def test_s1_sum_and_sign(self):
-        f = build_field(1)
-        sv = ones_spreading(f, 3)
-        m = natural_mapper(1)
-        vecs = np.array([[0.0, 1.0], [0.0, -2.0], [0.0, 0.5]])
-        decisions, llrs = total_llr_and_decide(vecs, sv, m)
+        kern = _kernel(natural_mapper(1), ones_spreading(build_field(1), 3).elements)
+        llrs = kern.total_bit_llrs(np.array([[1.0], [-2.0], [0.5]]))
         assert llrs.tolist() == [-0.5]
-        assert decisions.tolist() == [-1]
+        assert np.where(llrs >= 0, 1, -1).tolist() == [-1]
 
     def test_tie_resolves_positive(self):
-        f = build_field(1)
-        sv = ones_spreading(f, 1)
-        m = natural_mapper(1)
-        decisions, llrs = total_llr_and_decide(np.array([[0.0, 0.0]]), sv, m)
-        assert llrs[0] == 0.0
-        assert decisions[0] == 1
+        kern = _kernel(natural_mapper(1))
+        assert kern.total_bit_llrs(np.zeros((1, 1))).tolist() == [0.0]
+        # a frame of zeros gives all-zero bit LLRs, decided as +1
+        specs = _make_system(np.random.default_rng(9), 1, 1, 1, 4, natural=True)
+        params = ChannelParams(K=1, L=1, eb_n0_db=0.0)
+        res = decode_frame(np.zeros(4), specs, params, iterations=1)
+        assert np.all(res.bit_llrs == 0.0)
+        assert np.all(res.decisions == 1)
 
     def test_certainty_propagates(self, gf4):
         m = random_mapper(2, 13)
-        sv = ones_spreading(gf4, 3)
+        kern = _kernel(m, ones_spreading(gf4, 3).elements)
         lam_star = 2
-        vecs = np.zeros((3, 4))
-        vecs[1, lam_star] = LLR_MAX
-        decisions, _ = total_llr_and_decide(vecs, sv, m)
-        assert np.array_equal(decisions, m.signs[lam_star])
+        chips = np.zeros((3, 2))
+        chips[1] = LLR_MAX * m.signs[lam_star]
+        llrs = kern.total_bit_llrs(chips)
+        assert np.array_equal(np.where(llrs >= 0, 1, -1), m.signs[lam_star])
 
     def test_matches_map_oracle(self):
         rng = np.random.default_rng(7)
@@ -344,19 +331,10 @@ class TestTotalLlrAndDecide:
         for _ in range(200):
             field, mapper, sv, prior = random_despread_instance(rng)
             kern = _CodeKernel(field, mapper.signs, sv.elements)
-            vecs = kern.symbol_llrs(prior.reshape(sv.elements.size, mapper.s))
-            _, llrs = total_llr_and_decide(vecs, sv, mapper)
+            llrs = kern.total_bit_llrs(prior.reshape(sv.elements.size, mapper.s))
             want = map_decision_oracle(prior, sv, mapper, field)
             worst = max(worst, float(np.max(np.abs(llrs - want))))
         assert worst < 1e-9
-
-    def test_symbol_decision_option(self, gf4):
-        m = natural_mapper(2)
-        sv = ones_spreading(gf4, 2)
-        vecs = np.zeros((2, 4))
-        vecs[0, 3] = 10.0
-        decisions, _ = total_llr_and_decide(vecs, sv, m, symbol_decision=True)
-        assert np.array_equal(decisions, m.signs[3])
 
     def test_entry_zero_zero_through_pipeline(self, gf4):
         rng = np.random.default_rng(8)
@@ -492,3 +470,28 @@ class TestDecodeFrame:
             worst = max(worst, float(np.max(np.abs(res.bit_llrs - llrs))))
             assert np.array_equal(res.decisions, dec)
         assert worst < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(1, 4), s=st.integers(1, 4), L=st.integers(1, 5),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from(["awgn", "noiseless", "scaled"]))
+    def test_finite_and_user_permutation_equivariant(self, K, s, L, n, seed, noise):
+        rng = np.random.default_rng(seed)
+        specs = _make_system(rng, K, s, L, n, seed=seed)
+        params = ChannelParams(K=K, L=L, eb_n0_db=float(rng.uniform(0, 8)),
+                               noiseless=noise == "noiseless")
+        info = rng.integers(0, 2, (K, s * n)) * 2 - 1
+        chips = np.stack([encode_user(info[k], specs[k]) for k in range(K)])
+        y = transmit(chips, params, rng)
+        if noise == "scaled":
+            y *= 1e6
+        res = decode_frame(y, specs, params, iterations=4)
+        assert np.all(np.isfinite(res.bit_llrs))
+        assert np.all(np.isfinite(res.trace))
+        # the ESE's sum over users is order-dependent in the last bits only
+        perm = rng.permutation(K)
+        back = decode_frame(y, [specs[k] for k in perm], params, iterations=4)
+        np.testing.assert_allclose(back.bit_llrs, res.bit_llrs[perm], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(back.trace, res.trace[:, perm], rtol=0, atol=1e-9)
+        sure = np.abs(res.bit_llrs[perm]) > 1e-6
+        assert np.array_equal(back.decisions[sure], res.decisions[perm][sure])

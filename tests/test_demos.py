@@ -1,0 +1,27 @@
+"""Smoke test: the quick demos run to completion against the current API.
+
+Demo 04 (a BER waterfall, about 15 s) stays out.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = ("01_encode_decode_walkthrough.py", "02_transfer_functions.py",
+         "03_slope_theory.py")
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["MPLBACKEND"] = "Agg"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
