@@ -220,10 +220,8 @@ def tunnel_check(s: int, L: int, K: int, eb_n0: float, grid=None,
     grid = np.asarray(grid, dtype=np.float64)
     if m_stop is None:
         m_stop = float(grid[-1])
-    ese = _curve(lambda g, sd: exit_ese(g, eb_n0, K, L, samples, sd),
-                 grid, samples, _seed_tuple(seed, 101))
-    des = _curve(lambda g, sd: exit_ffdes_approx(g, s, L, samples, sd),
-                 grid, samples, _seed_tuple(seed, 202))
+    ese = ese_curve(K, L, eb_n0, grid, samples, _seed_tuple(seed, 101))
+    des = ffdes_approx_curve(s, L, grid, samples, _seed_tuple(seed, 202))
     x = 0.0
     for _ in range(max_rounds):
         y = float(np.interp(x, grid, ese.m_e))

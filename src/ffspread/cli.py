@@ -371,10 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sim)
 
     p_exit = sub.add_parser("exit", help="transfer-function chart CSV")
-    for key, typ in (("s", int), ("l", int), ("k", int), ("samples", int),
-                     ("seed", int)):
-        p_exit.add_argument(f"--{key}", type=typ)
-    p_exit.add_argument("--eb_n0_db", type=float)
+    for key, default in (("s", 2), ("l", 8), ("k", 8), ("samples", 100_000), ("seed", 1)):
+        p_exit.add_argument(f"--{key}", type=int, default=default)
+    p_exit.add_argument("--eb_n0_db", type=float, default=7.0)
     p_exit.add_argument("--outdir", default=".")
 
     p_slope = sub.add_parser("slope", help="closed-form slope table CSV")
@@ -414,16 +413,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exit(args) -> int:
     import pathlib
+    problems = [f"{name} must be a positive integer"
+                for name in ("l", "k", "samples") if getattr(args, name) < 1]
+    if not 1 <= args.s <= 12:
+        problems.append("s must be in [1, 12]")
+    if problems:
+        raise ConfigError(problems)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    s = args.s or 2
-    l = args.l or 8
-    k = args.k or 8
-    db = args.eb_n0_db if args.eb_n0_db is not None else 7.0
-    samples = args.samples or 100_000
-    seed = args.seed if args.seed is not None else 1
-    path = outdir / f"exit_s{s}_L{l}.csv"
-    emit_exit_chart(s, l, k, db, samples, seed, path)
+    path = outdir / f"exit_s{args.s}_L{args.l}.csv"
+    emit_exit_chart(args.s, args.l, args.k, args.eb_n0_db, args.samples, args.seed, path)
     print(path)
     return 0
 

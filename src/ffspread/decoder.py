@@ -52,6 +52,8 @@ from .codec import SpreadingVector, UserCodeSpec, permute
 from .gf import BitMapper, FieldSpec
 
 LLR_MAX = 50.0
+# prior <- DAMPING * prior + (1 - DAMPING) * extrinsic; see decode_frame
+DAMPING = 0.5
 # Largest field size marginalized by per-bit log-sum-exps.  Below Q = 8 the
 # max-shift and exp of the matmul path alone cost more than the loop.
 _MAX_LSE_Q = 4
@@ -80,29 +82,18 @@ def _bit_order(signs: np.ndarray) -> np.ndarray:
     return np.argsort(signs, axis=-2, kind="stable").astype(np.int64)
 
 
-def _align(idx: np.ndarray, shape: tuple, base_ndim: int) -> np.ndarray:
-    """Broadcast an index table to a target shape, padding middle axes.
-
-    ``base_ndim`` is the table's rank without a sample batch; one extra
-    leading axis, if present, is the batch and stays aligned with the
-    target's first axis.
-    """
-    extra = len(shape) - idx.ndim
-    if extra:
-        pad = (1,) * extra
-        if idx.ndim == base_ndim:
-            new = pad + idx.shape
-        else:  # leading sample batch
-            new = idx.shape[:1] + pad + idx.shape[1:]
-        idx = idx.reshape(new)
-    return np.broadcast_to(idx, shape)
-
-
 class _CodeKernel:
     """Precomputed tables for one (field, mapper, spreading) triple.
 
-    ``signs`` may carry a leading batch axis (one mapper per sample) and
-    ``sv_elements`` likewise; all methods then operate sample-wise.
+    Array contract.  A shared kernel (``signs`` (Q, s), ``sv_elements``
+    (L,)) keeps unbatched tables and accepts arrays with any leading axes.
+    A per-sample kernel (``signs`` (b, Q, s), ``sv_elements`` (b, L), one
+    mapper and spreading vector per sample) accepts (b, P, .) arrays, with
+    P = L for per-position arrays and P = 1 for a total; its tables are
+    stored so that plain numpy broadcasting lines them up with those:
+    ``wt`` (b, s, Q), ``idx_tot``/``idx_ext`` (b, L, Q), ``order``
+    (b, 1, Q, s), ``mass_plus``/``mass_minus`` (b, Q, s).  ``total_llrs``
+    returns (b, Q), which ``chip_llrs`` takes as (b, 1, Q).
 
     The steps of the despreader before marginalization are linear in the
     chip LLRs.  With one shared mapper and spreading vector they compose
@@ -120,14 +111,16 @@ class _CodeKernel:
         self.batched = signs.ndim == 3 or np.asarray(sv_elements).ndim == 2
         self.wt = _weight_matrix(signs)                               # (.., s, Q)
         if self.q <= _MAX_LSE_Q:
-            self.order = _bit_order(signs)                            # (.., Q, s)
+            order = _bit_order(signs)                                 # (.., Q, s)
+            self.order = order[:, None] if order.ndim == 3 else order  # (b, 1, Q, s)
         else:
             plus = signs > 0
             self.mass_plus = plus.astype(np.float64)                  # (.., Q, s)
             self.mass_minus = (~plus).astype(np.float64)
-        mt_cols = field.mul_table.T.astype(np.int64)                  # mt_cols[e, lam] = lam*e
-        self.idx_tot = mt_cols[sv_elements]                           # (.., L, Q)
-        self.idx_ext = mt_cols[field.inv_table[sv_elements]]          # (.., L, Q)
+        # the product table is symmetric: row e holds lam*e for every lam
+        mt = field.mul_table
+        self.idx_tot = mt[sv_elements].astype(np.int64)               # (.., L, Q)
+        self.idx_ext = mt[field.inv_table[sv_elements]].astype(np.int64)
         self._m_ext = None
 
     def _ext_map(self) -> np.ndarray:
@@ -149,13 +142,13 @@ class _CodeKernel:
 
     def total_llrs(self, lsym: np.ndarray) -> np.ndarray:
         """All-positions symbol LLR vector: ltot[lam] = sum_i lsym[i, lam*s_i]."""
-        idx = _align(self.idx_tot, lsym.shape, base_ndim=2)
+        idx = np.broadcast_to(self.idx_tot, lsym.shape)
         return np.take_along_axis(lsym, idx, axis=-1).sum(axis=-2)
 
     def extrinsic_symbol_llrs(self, lsym: np.ndarray) -> np.ndarray:
         """Leave-one-out symbol LLRs for every position, via total minus own term."""
         ltot = self.total_llrs(lsym)
-        idx = _align(self.idx_ext, lsym.shape, base_ndim=2)
+        idx = np.broadcast_to(self.idx_ext, lsym.shape)
         gathered = np.take_along_axis(
             np.broadcast_to(ltot[..., None, :], lsym.shape), idx, axis=-1
         )
@@ -176,14 +169,9 @@ class _CodeKernel:
         """
         if self.q <= _MAX_LSE_Q:
             return self._chip_llrs_lse(sym_llrs)
-        shape = sym_llrs.shape[:-1] + (self.s,)
-        if self.mass_plus.ndim == 3:  # one mapper per sample: (b, .., Q) @ (b, Q, s)
-            x = sym_llrs.reshape(sym_llrs.shape[0], -1, self.q)
-        else:
-            x = sym_llrs
         # non-finite and underflowed rows are recomputed after the block
         with np.errstate(divide="ignore", invalid="ignore"):
-            e = x - np.max(x, axis=-1, keepdims=True)
+            e = sym_llrs - np.max(sym_llrs, axis=-1, keepdims=True)
             np.exp(e, out=e)
             p_plus = e @ self.mass_plus
             p_minus = e @ self.mass_minus
@@ -194,8 +182,8 @@ class _CodeKernel:
             out = np.log(p_plus, out=p_plus)
             out -= np.log(p_minus, out=p_minus)
         if bad is not None:
-            out[bad] = self._chip_llrs_masked(x, bad)
-        return out.reshape(shape)
+            out[bad] = self._chip_llrs_masked(sym_llrs, bad)
+        return out
 
     def _chip_llrs_masked(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Masked log-sum-exp marginalization of the selected rows only."""
@@ -211,9 +199,8 @@ class _CodeKernel:
         half = self.q // 2
         out = np.empty(sym_llrs.shape[:-1] + (self.s,))
         for n in range(self.s):
-            if self.batched:
-                idx = _align(self.order[..., n], sym_llrs.shape, base_ndim=1)
-                ordered = np.take_along_axis(sym_llrs, idx, axis=-1)
+            if self.order.ndim == 4:
+                ordered = np.take_along_axis(sym_llrs, self.order[..., n], axis=-1)
             else:
                 ordered = sym_llrs[..., self.order[:, n]]
             out[..., n] = _lse(ordered[..., half:]) - _lse(ordered[..., :half])
@@ -229,7 +216,10 @@ class _CodeKernel:
         return self.chip_llrs(ext.reshape(lead + (self.L, self.q)))
 
     def total_bit_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
-        """Hard-decision input: (.., L, s) prior chip LLRs -> (.., s) posterior bit LLRs."""
+        """Hard-decision input: (.., L, s) prior chip LLRs -> (.., s) posterior bit LLRs.
+
+        For shared kernels; a per-sample total goes to ``chip_llrs`` as (b, 1, Q).
+        """
         return self.chip_llrs(self.total_llrs(self.symbol_llrs(chip_llrs)))
 
 
@@ -296,8 +286,7 @@ def write_trace_csv(path, trace: np.ndarray) -> None:
 
 
 def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams,
-                 iterations: int = 50, true_chips: np.ndarray | None = None,
-                 damping: float = 0.5) -> DecodeResult:
+                 iterations: int = 50, true_chips: np.ndarray | None = None) -> DecodeResult:
     """Iterative multi-user decoding of one frame.
 
     All users update in parallel each iteration: ESE at every position,
@@ -307,12 +296,12 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     runs on the total symbol LLRs built from the final deinterleaved
     chip priors.
 
-    ``damping`` blends the new priors with the previous ones
-    (prior <- damping * prior + (1 - damping) * extrinsic).  It leaves
+    ``DAMPING`` blends the new priors with the previous ones
+    (prior <- DAMPING * prior + (1 - DAMPING) * extrinsic).  It leaves
     fixed points untouched and keeps the schedule symmetric across
     users, but is essential at high load: with undamped synchronous
-    updates (damping=0) the confidence ramp can outrun error correction
-    and lock whole frames into a saturated period-2 oscillation.
+    updates the confidence ramp can outrun error correction and lock
+    whole frames into a saturated period-2 oscillation.
 
     ``trace[it, k]`` records the mean extrinsic chip LLR of user k after
     iteration it: mean of x * LLR when ``true_chips`` (the K transmitted
@@ -324,8 +313,6 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
         raise ValueError(f"got {K} user specs but params.K={params.K}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must be in [0, 1)")
     T = y.size
     for spec in specs:
         if spec.chip_count != T:
@@ -353,8 +340,8 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
             le = kernels[k].despread(groups)
             np.clip(le, -LLR_MAX, LLR_MAX, out=le)
             extr = permute(le.reshape(-1), sp.interleaver, "forward")
-            la_x[k] *= damping
-            la_x[k] += (1.0 - damping) * extr
+            la_x[k] *= DAMPING
+            la_x[k] += (1.0 - DAMPING) * extr
             if true_chips is not None:
                 trace[it, k] = float(np.mean(true_chips[k] * extr))
             else:

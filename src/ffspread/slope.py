@@ -145,7 +145,8 @@ def standard_slope(s: int, L: int) -> float:
     return float(standard_slope_exact(s, L))
 
 
-def _qfunc(x: float) -> float:
+def _qfunc(x):
+    """Gaussian tail probability Q(x), elementwise."""
     return 0.5 * erfc(x / np.sqrt(2.0))
 
 
@@ -158,7 +159,7 @@ def predict_ber(s: int, L: int, eb_n0_linear) -> tuple[np.ndarray, np.ndarray]:
     if np.any(x <= 0):
         raise ValueError("eb_n0_linear must be > 0")
     g_dec = float(g_closed_form(s, L + 1))
-    est = 0.5 * erfc(np.sqrt(2.0 * g_dec * x / L) / np.sqrt(2.0))
+    est = _qfunc(np.sqrt(2.0 * g_dec * x / L))
     bound = np.exp(-standard_slope(s, L) * x)
     return est, bound
 

@@ -218,6 +218,14 @@ class TestMainEntry:
             band = 3 * math.hypot(float(r["se_exact"]), float(r["se_approx"]))
             assert gap >= -band
 
+    @pytest.mark.parametrize("flags", [["--s", "0"], ["--s", "13"], ["--l", "0"],
+                                       ["--k", "0"], ["--samples", "0"],
+                                       ["--s", "0", "--samples", "0", "--k", "0"]])
+    def test_exit_refuses_out_of_range(self, flags, tmp_path):
+        out = tmp_path / "out"
+        assert main(["exit", *flags, "--outdir", str(out)]) == 2
+        assert not out.exists()
+
     def test_slope_subcommand(self, tmp_path):
         out = tmp_path / "slopes.csv"
         assert main(["slope", "--s_values", "1,2", "--l_values", "8",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (lse, map_decision_oracle, map_despread_oracle,
@@ -154,9 +156,10 @@ class TestChipLlrsKernel:
         kern, x, signs = _marginalization_case(s, layout, rng, scale=20.0)
         np.testing.assert_allclose(kern.chip_llrs(x), _per_bit_reference(x, signs),
                                    rtol=1e-12, atol=1e-12)
-        # total-LLR shape: one vector per leading index
-        np.testing.assert_allclose(kern.chip_llrs(x[:, 0]),
-                                   _per_bit_reference(x[:, 0], signs),
+        # total-LLR shape: one vector per leading index (P = 1 per sample)
+        tot = x[:, 0] if layout == "per-user" else x[:, :1]
+        np.testing.assert_allclose(kern.chip_llrs(tot),
+                                   _per_bit_reference(tot, signs),
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -255,6 +258,42 @@ class TestDenseMapDespread:
         assert kern._m_ext is not None
         x[:, ell] += rng.normal(0.0, scale, size=(L * s, s))
         assert np.array_equal(kern.despread(x)[:, ell], base[:, ell])
+
+
+class TestKernelLayouts:
+    @pytest.mark.parametrize("L", (1, 3, 8))
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_per_sample_matches_shared_kernels(self, s, L):
+        # the EXIT path's per-sample kernel against the frame path's shared one
+        rng = np.random.default_rng(70 + 10 * s + L)
+        field = build_field(s)
+        b = 6
+        signs = np.stack([random_mapper(s, (s, L, i)).signs for i in range(b)])
+        sv = rng.integers(1, field.q, size=(b, L))
+        x = rng.normal(0.0, 3.0, size=(b, L, s))
+        per = _CodeKernel(field, signs, sv)
+        got = per.despread(x)
+        got_tot = per.chip_llrs(per.total_llrs(per.symbol_llrs(x))[:, None])
+        for i in range(b):
+            shared = _CodeKernel(field, signs[i], sv[i])
+            np.testing.assert_allclose(got[i], shared.despread(x[i:i + 1])[0],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got_tot[i, 0], shared.total_bit_llrs(x[i]),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_large_field_build_stays_small(self):
+        # s=12, L=8 passes RunConfig.validate(); the build must not copy
+        # the 4096 x 4096 product table
+        field = build_field(12)
+        signs = random_mapper(12, 1).signs
+        sv = random_spreading(field, 8, 2).elements
+        tracemalloc.start()
+        try:
+            _CodeKernel(field, signs, sv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestFfdesBlock:
