@@ -38,6 +38,9 @@ from .decoder import _CodeKernel
 from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
+# largest b*L*Q of one per-sample despreading kernel: its (b, Q, L) float64
+# arrays stay at 8 MiB each
+KERNEL_ENTRIES = 1 << 20
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
 
 
@@ -98,6 +101,7 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     Each sample draws its own uniformly random mapper, nonzero spreading
     vector and symbol, builds consistent-Gaussian chip priors, despreads
     one symbol group, and reads c * L_e at one random output chip.
+    Kernels run in sub-batches of a chunk's draws, which bounds memory.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -105,22 +109,26 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     q = field.q
     basis = _sign_basis(s)
     sigma = np.sqrt(2.0 * m_a)
+    step = max(1, KERNEL_ENTRIES // (L * q))
 
     def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-        forward = rng.permuted(np.tile(np.arange(q), (b, 1)), axis=1)
-        inverse = np.argsort(forward, axis=1)
-        signs = basis[inverse]                                   # (b, Q, s)
+        inverse = np.argsort(rng.permuted(np.tile(np.arange(q), (b, 1)), axis=1), axis=1)
         sv = rng.integers(1, q, size=(b, L))
         beta = rng.integers(0, q, size=b)
         gamma = field.mul_table[beta[:, None], sv].astype(np.int64)
-        chips = signs[np.arange(b)[:, None], gamma].astype(np.float64)  # (b, L, s)
         h = rng.normal(m_a, sigma, size=(b, L, s))
-        kern = _CodeKernel(field, signs, sv)
-        ext = kern.despread(chips * h)                           # (b, L, s)
         li = rng.integers(0, L, size=b)
         ni = rng.integers(0, s, size=b)
-        rows = np.arange(b)
-        return chips[rows, li, ni] * ext[rows, li, ni]
+        vals = np.empty(b)
+        for lo in range(0, b, step):
+            part = slice(lo, lo + step)
+            signs = basis[inverse[part]]                             # (p, Q, s)
+            rows = np.arange(signs.shape[0])
+            chips = signs[rows[:, None], gamma[part]].astype(np.float64)  # (p, L, s)
+            x = np.ascontiguousarray(np.swapaxes(chips * h[part], 1, 2))  # (p, s, L)
+            ext = _CodeKernel(field, signs, sv[part]).despread(x)
+            vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], li[part]]
+        return vals
 
     return _mc_mean(one_chunk, samples, seed)
 

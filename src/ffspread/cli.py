@@ -40,7 +40,8 @@ from .decoder import decode_frame
 from .gf import build_field, natural_mapper, random_mapper
 
 MAX_CHIPS_PER_USER = 1 << 24
-# entries of one user's (N, L*2^s) float64 despreader block: 2^24 is 128 MiB
+# entries of one user's largest float64 despreader array, its (L*2^s, N)
+# block or its (L*2^s, L*s) dense map: 2^24 is 128 MiB
 MAX_DESPREAD_ENTRIES = 1 << 24
 
 
@@ -94,9 +95,10 @@ class RunConfig:
                 f"s*n*l = {self.s * self.n * self.l} exceeds the per-user "
                 f"chip budget {MAX_CHIPS_PER_USER}"
             )
-        if 1 <= self.s <= 12 and self.n * self.l * 2 ** self.s > MAX_DESPREAD_ENTRIES:
+        entries = max(self.n, self.l * self.s) * self.l * 2 ** self.s if 1 <= self.s <= 12 else 0
+        if entries > MAX_DESPREAD_ENTRIES:
             problems.append(
-                f"n*l*2^s = {self.n * self.l * 2 ** self.s} exceeds the despreader "
+                f"max(n, l*s)*l*2^s = {entries} exceeds the despreader "
                 f"budget {MAX_DESPREAD_ENTRIES} (float64 entries per user)"
             )
         if problems:
@@ -150,8 +152,8 @@ def _frame_worker(args) -> int:
                            noiseless=cfg.noiseless)
     rng = np.random.default_rng((cfg.seed, 1000 + point_idx, frame_idx))
     info = rng.integers(0, 2, size=(cfg.k, cfg.s * cfg.n)) * 2 - 1
-    chips = np.stack([encode_user(info[k], specs[k]) for k in range(cfg.k)])
-    y = transmit(chips, params, rng)
+    # the chips are not kept: only y is alive while the frame decodes
+    y = transmit(np.stack([encode_user(info[k], specs[k]) for k in range(cfg.k)]), params, rng)
     result = decode_frame(y, specs, params, iterations=cfg.iterations)
     return int((result.decisions != info).sum())
 
@@ -411,14 +413,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_exit(args) -> int:
-    import pathlib
+def _check_args(args, positive: tuple[str, ...]) -> None:
+    """Refuse out-of-range subcommand arguments before anything is written."""
     problems = [f"{name} must be a positive integer"
-                for name in ("l", "k", "samples") if getattr(args, name) < 1]
+                for name in positive if getattr(args, name) < 1]
     if not 1 <= args.s <= 12:
         problems.append("s must be in [1, 12]")
+    if not all(math.isfinite(v) for v in np.atleast_1d(args.eb_n0_db)):
+        problems.append("eb_n0_db values must be finite")
     if problems:
         raise ConfigError(problems)
+
+
+def _cmd_exit(args) -> int:
+    import pathlib
+    _check_args(args, ("l", "k", "samples"))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"exit_s{args.s}_L{args.l}.csv"
@@ -436,6 +445,7 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_args(args, ("l",))
     write_prediction(args.out, args.s, args.l, args.eb_n0_db)
     print(args.out)
     return 0

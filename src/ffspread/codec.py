@@ -3,7 +3,8 @@ multiplication, demapping to chips, and chip-level interleaving.
 
 Each user's code has rate 1/L: an s*N info vector produces an s*N*L chip
 vector.  Chip order before interleaving is (symbol j, spreading index i,
-bit m), i.e. chip (j*L + i)*s + m.
+bit m), i.e. chip (j*L + i)*s + m.  The decoder's group-column order puts
+that chip at slot (i*s + m)*N + j of an (L*s, N) array; see ``chip_slots``.
 """
 
 from __future__ import annotations
@@ -77,12 +78,9 @@ def make_interleaver(length: int, seed) -> Interleaver:
     return Interleaver(perm=perm, inv_perm=np.argsort(perm), seed=seed)
 
 
-def permute(values: np.ndarray, interleaver: Interleaver, direction: str = "forward",
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Reorder a vector; 'forward' then 'inverse' is the identity.
-
-    With ``out`` the result is written into that array and returned.
-    """
+def permute(values: np.ndarray, interleaver: Interleaver,
+            direction: str = "forward") -> np.ndarray:
+    """Reorder a vector; 'forward' then 'inverse' is the identity."""
     values = np.asarray(values)
     if values.shape[-1] != interleaver.length:
         raise ValueError(
@@ -94,11 +92,7 @@ def permute(values: np.ndarray, interleaver: Interleaver, direction: str = "forw
         idx = interleaver.inv_perm
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    if out is None:
-        return values[..., idx]
-    # idx is a permutation of range(length), so "clip" never clips; unlike the
-    # default "raise" it writes into out without an intermediate copy
-    return np.take(values, idx, axis=-1, out=out, mode="clip")
+    return values[..., idx]
 
 
 @dataclass(frozen=True)
@@ -140,6 +134,13 @@ class UserCodeSpec:
             "interleaver_seed": self.interleaver.seed,
             "n_symbols": self.n_symbols,
         }
+
+
+def chip_slots(spec: UserCodeSpec) -> np.ndarray:
+    """Per channel position, the group-column slot of the chip sent there."""
+    perm = spec.interleaver.perm
+    rows = spec.s * spec.L
+    return (perm % rows) * spec.n_symbols + perm // rows
 
 
 def spread_block(beta: int, sv: SpreadingVector) -> np.ndarray:

@@ -23,16 +23,13 @@ and the hard decision uses the same marginalization on the total
 with two entry points: ``despread`` (prior chip LLRs -> extrinsic chip
 LLRs, each iteration) and ``total_bit_llrs`` (prior chip LLRs -> posterior
 bit LLRs, the final decision); ``ffdes_block`` is the public wrapper of
-``despread`` for one group.  The first two steps are linear in the
-chip LLRs: for one user's fixed mapper and spreading vector they run as
-one matmul with a precomputed dense (L*s, L*2^s) map whose own-position
-blocks are zero, and otherwise (per-sample mappers, or calls with fewer
-than L*s symbol groups) as index gathers.  Marginalization picks its method
-from the field size Q = 2^s: per-bit log-sum-exps for Q <= 4, and for
-Q >= 8 one exponential of each max-shifted vector followed by two
-matmuls with the bit-class indicator matrices.  Rows where a whole bit
-class underflows (possible on the unclamped analysis path) or whose
-input is not finite fall back to log-sum-exp.
+``despread``.  Arrays are Q-major: each user's chip LLRs are an (L*s, N)
+array, one column per symbol group, laid out by ``codec.chip_slots``.
+The first two steps are linear: one matmul with a dense (L*2^s, L*s) map
+per user, or gathers for per-sample mappers (the EXIT analysis).
+Marginalization is one exponential per max-shifted symbol vector and one
+matmul with the bit-class indicators, falling back to log-sum-exp where a
+class mass underflows (possible on the unclamped analysis path).
 
 A flooding schedule updates all users in parallel each iteration, so
 results do not depend on user ordering.  ``decode_frame`` clamps LLRs to
@@ -42,21 +39,17 @@ unclamped so analysis code can reuse them bias-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams
-from .codec import SpreadingVector, UserCodeSpec, permute
+from .codec import SpreadingVector, UserCodeSpec, chip_slots
 from .gf import BitMapper, FieldSpec
 
 LLR_MAX = 50.0
 # prior <- DAMPING * prior + (1 - DAMPING) * extrinsic; see decode_frame
 DAMPING = 0.5
-# Largest field size marginalized by per-bit log-sum-exps.  Below Q = 8 the
-# max-shift and exp of the matmul path alone cost more than the loop.
-_MAX_LSE_Q = 4
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -71,156 +64,139 @@ def _lse(x: np.ndarray) -> np.ndarray:
         return np.squeeze(m, -1) + np.log(np.exp(x - m).sum(axis=-1))
 
 
-def _weight_matrix(signs: np.ndarray) -> np.ndarray:
-    """(.., s, Q) matrix turning s chip LLRs into the 2^s symbol LLR vector."""
-    w = (signs - signs[..., :1, :]) * 0.5
-    return np.swapaxes(w, -1, -2).astype(np.float64)
-
-
-def _bit_order(signs: np.ndarray) -> np.ndarray:
-    """(.., Q, s) element order per bit: the 2^(s-1) elements whose bit is -1 first."""
-    return np.argsort(signs, axis=-2, kind="stable").astype(np.int64)
-
-
 class _CodeKernel:
     """Precomputed tables for one (field, mapper, spreading) triple.
 
-    Array contract.  A shared kernel (``signs`` (Q, s), ``sv_elements``
-    (L,)) keeps unbatched tables and accepts arrays with any leading axes.
-    A per-sample kernel (``signs`` (b, Q, s), ``sv_elements`` (b, L), one
-    mapper and spreading vector per sample) accepts (b, P, .) arrays, with
-    P = L for per-position arrays and P = 1 for a total; its tables are
-    stored so that plain numpy broadcasting lines them up with those:
-    ``wt`` (b, s, Q), ``idx_tot``/``idx_ext`` (b, L, Q), ``order``
-    (b, 1, Q, s), ``mass_plus``/``mass_minus`` (b, Q, s).  ``total_llrs``
-    returns (b, Q), which ``chip_llrs`` takes as (b, 1, Q).
+    Array contract.  ``chip_llrs`` marginalizes symbol LLR vectors
+    (.., Q, M) to chip LLRs (.., s, M): the max is over axis -2 and the
+    (2s, Q) bit-class masks multiply from the left.
 
-    The steps of the despreader before marginalization are linear in the
-    chip LLRs.  With one shared mapper and spreading vector they compose
-    into one dense (L*s, L*Q) map, so ``despread`` is a single matmul
-    followed by marginalization.  The map is built on first use, and only
-    for calls with N >= L*s symbol groups: then it is no larger than the
-    (N, L, Q) block it replaces.  Smaller calls, and every per-sample
-    kernel, gather with ``take_along_axis``.
+    A shared kernel (``signs`` (Q, s), ``sv_elements`` (L,)) serves one
+    user of a frame.  ``despread`` maps (.., L*s, N) chip LLR columns,
+    row i*s + m holding bit m of position i, to the same shape, and
+    ``total_bit_llrs`` maps them to (.., s, N); each is one matmul with
+    a dense map built on first use, (L*Q, L*s) or (Q, L*s), followed by
+    marginalization.
+
+    A per-sample kernel (``signs`` (b, Q, s), ``sv_elements`` (b, L), the
+    EXIT path) takes chips as (b, s, L) and gathers: ``symbol_llrs``
+    gives (b, Q, L), ``total_llrs`` (b, Q, 1); ``despread`` returns
+    (b, s, L) and ``total_bit_llrs`` (b, s, 1).  The gathers also run on
+    a shared kernel, for (.., s, L) chips.
     """
 
     def __init__(self, field: FieldSpec, signs: np.ndarray, sv_elements: np.ndarray):
         self.q = field.q
         self.s = int(signs.shape[-1])
         self.L = int(sv_elements.shape[-1])
-        self.batched = signs.ndim == 3 or np.asarray(sv_elements).ndim == 2
-        self.wt = _weight_matrix(signs)                               # (.., s, Q)
-        if self.q <= _MAX_LSE_Q:
-            order = _bit_order(signs)                                 # (.., Q, s)
-            self.order = order[:, None] if order.ndim == 3 else order  # (b, 1, Q, s)
-        else:
-            plus = signs > 0
-            self.mass_plus = plus.astype(np.float64)                  # (.., Q, s)
-            self.mass_minus = (~plus).astype(np.float64)
-        # the product table is symmetric: row e holds lam*e for every lam
+        self.batched = np.ndim(sv_elements) == 2
+        # (.., Q, s) matrix turning s chip LLRs into the 2^s symbol LLR vector
+        self.w = (signs - signs[..., :1, :]) * 0.5
+        # (.., 2s, Q) bit-class indicators: rows m < s hold the elements
+        # whose bit m is +1, rows s + m those whose bit m is -1
+        plus = np.swapaxes(signs, -1, -2) > 0
+        self.masks = np.concatenate([plus, ~plus], axis=-2).astype(np.float64)
+        # Flat indices into a group's (Q, L) symbol block and (Q, 1) total,
+        # plus each sample's offset: tot_cols[i, lam] picks lsym[lam*s_i, i],
+        # ext_cols[lam, l] picks ltot[lam*inv(s_l)].  The product table is
+        # symmetric: row e holds lam*e for every lam.
+        first = np.arange(len(sv_elements))[:, None, None] if self.batched else 0
         mt = field.mul_table
-        self.idx_tot = mt[sv_elements].astype(np.int64)               # (.., L, Q)
-        self.idx_ext = mt[field.inv_table[sv_elements]].astype(np.int64)
-        self._m_ext = None
+        self.tot_cols = mt[sv_elements].astype(np.int64) * self.L     # (.., L, Q)
+        self.tot_cols += np.arange(self.L)[:, None] + first * (self.q * self.L)
+        self.ext_cols = np.swapaxes(mt[field.inv_table[sv_elements]], -1, -2).astype(np.int64)
+        self.ext_cols += first * self.q
+        self._m_ext = self._m_tot = None
+
+    def _unit_symbol_llrs(self) -> np.ndarray:
+        """(L*s, Q, L) symbol LLRs of the L*s unit chip vectors, one per group."""
+        unit = np.eye(self.L * self.s).reshape(-1, self.L, self.s)
+        return self.symbol_llrs(np.swapaxes(unit, -1, -2))
 
     def _ext_map(self) -> np.ndarray:
-        """(L*s, L*Q) map from a group's chip LLRs to its extrinsic symbol LLRs.
+        """(L*Q, L*s) map from a group's chip LLRs to its extrinsic symbol LLRs.
 
-        Block (i, l) is ``wt[:, lam * inv(s_l) * s_i]``, the own-position
-        block (l, l) is zero, and so is column lam = 0 of every block.
+        Row (l, lam), column (i, m) holds ``w[lam * inv(s_l) * s_i, m]``:
+        each gathered sum has one nonzero term, so the entries are exact,
+        the own-position blocks i = l are zero, and so is every row lam = 0.
         """
         if self._m_ext is None:
-            cols = self.idx_tot[:, self.idx_ext]                      # (L_i, L_l, Q)
-            m = self.wt[:, cols]                                      # (s, L_i, L_l, Q)
-            m[:, np.arange(self.L), np.arange(self.L)] = 0.0
-            self._m_ext = m.transpose(1, 0, 2, 3).reshape(self.L * self.s, self.L * self.q)
+            ext = self.extrinsic_symbol_llrs(self._unit_symbol_llrs())  # (L*s, Q, L)
+            self._m_ext = ext.T.reshape(self.L * self.q, self.L * self.s)
         return self._m_ext
 
+    def _tot_map(self) -> np.ndarray:
+        """(Q, L*s) map from a group's chip LLRs to its total symbol LLRs."""
+        if self._m_tot is None:
+            self._m_tot = self.total_llrs(self._unit_symbol_llrs())[..., 0].T.copy()
+        return self._m_tot
+
+    def _gather(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries ``cols`` of each group's flattened trailing block of ``x``."""
+        if self.batched:  # the per-sample tables index the whole array
+            return np.take(x, cols)
+        return np.take(x.reshape(x.shape[:-2] + (-1,)), cols, axis=-1)
+
     def symbol_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
-        """(.., L, s) chip LLRs -> (.., L, Q) a-priori symbol LLR vectors."""
-        return chip_llrs @ self.wt
+        """(.., s, L) chip LLRs -> (.., Q, L) a-priori symbol LLR vectors."""
+        return self.w @ chip_llrs
 
     def total_llrs(self, lsym: np.ndarray) -> np.ndarray:
-        """All-positions symbol LLR vector: ltot[lam] = sum_i lsym[i, lam*s_i]."""
-        idx = np.broadcast_to(self.idx_tot, lsym.shape)
-        return np.take_along_axis(lsym, idx, axis=-1).sum(axis=-2)
+        """All-positions symbol LLR vector (.., Q, 1): ltot[lam] = sum_i lsym[lam*s_i, i]."""
+        return self._gather(lsym, self.tot_cols).sum(axis=-2)[..., None]
 
     def extrinsic_symbol_llrs(self, lsym: np.ndarray) -> np.ndarray:
         """Leave-one-out symbol LLRs for every position, via total minus own term."""
-        ltot = self.total_llrs(lsym)
-        idx = np.broadcast_to(self.idx_ext, lsym.shape)
-        gathered = np.take_along_axis(
-            np.broadcast_to(ltot[..., None, :], lsym.shape), idx, axis=-1
-        )
-        return gathered - lsym
+        return self._gather(self.total_llrs(lsym), self.ext_cols) - lsym
 
     def chip_llrs(self, sym_llrs: np.ndarray) -> np.ndarray:
-        """(.., Q) symbol LLR vectors -> (.., s) chip LLRs by marginalization.
+        """(.., Q, M) symbol LLR vectors -> (.., s, M) chip LLRs by marginalization.
 
         Each chip LLR is log(mass of the elements whose bit is +1) minus
-        log(mass of those whose bit is -1).  For Q <= 4 every bit gets
-        two half-size log-sum-exps over the ordered vector.  For Q >= 8
-        one ``exp`` of the max-shifted vector feeds two matmuls with the
-        0/1 bit-class indicator matrices, giving both masses of all s bits
-        at once.  A row where some class mass is not a positive normal
-        float (the whole class underflowed, or the input is not finite)
-        is recomputed by masked log-sum-exp, so extreme and +/-inf inputs
-        give what the log-sum-exp path gives.
+        log(mass of those whose bit is -1).  One ``exp`` of the max-shifted
+        vectors feeds one matmul with the 0/1 bit-class indicators, giving
+        both masses of all s bits.  A vector where some class mass is not a
+        positive normal float (a class underflowed, or the input is not
+        finite) is recomputed by masked log-sum-exp, so extreme and +/-inf
+        inputs give what log-sum-exp gives.  At s = 1 each class is one
+        element and the result is their exact difference.
         """
-        if self.q <= _MAX_LSE_Q:
-            return self._chip_llrs_lse(sym_llrs)
-        # non-finite and underflowed rows are recomputed after the block
+        s = self.s
+        if s == 1:
+            return (self.masks[..., :1, :] - self.masks[..., 1:, :]) @ sym_llrs
+        # non-finite and underflowed vectors are recomputed after the block
         with np.errstate(divide="ignore", invalid="ignore"):
-            e = sym_llrs - np.max(sym_llrs, axis=-1, keepdims=True)
+            e = sym_llrs - np.max(sym_llrs, axis=-2, keepdims=True)
             np.exp(e, out=e)
-            p_plus = e @ self.mass_plus
-            p_minus = e @ self.mass_minus
+            mass = self.masks @ e                                     # (.., 2s, M)
             del e
             bad = None
-            if not np.minimum(p_plus, p_minus).min(initial=np.inf) >= _TINY:
-                bad = ~((p_plus >= _TINY) & (p_minus >= _TINY)).all(axis=-1)
-            out = np.log(p_plus, out=p_plus)
-            out -= np.log(p_minus, out=p_minus)
-        if bad is not None:
-            out[bad] = self._chip_llrs_masked(sym_llrs, bad)
-        return out
-
-    def _chip_llrs_masked(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Masked log-sum-exp marginalization of the selected rows only."""
-        sel = np.nonzero(rows)
-        xr = x[sel][:, None, :]                                       # (r, 1, Q)
-        plus = self.mass_plus[sel[0]] if self.mass_plus.ndim == 3 else self.mass_plus
-        plus = np.swapaxes(plus, -1, -2) > 0                          # (.., s, Q)
-        return (_lse(np.where(plus, xr, -np.inf))
-                - _lse(np.where(plus, -np.inf, xr)))
-
-    def _chip_llrs_lse(self, sym_llrs: np.ndarray) -> np.ndarray:
-        """Per-bit marginalization by log-sum-exps over the ordered halves."""
-        half = self.q // 2
-        out = np.empty(sym_llrs.shape[:-1] + (self.s,))
-        for n in range(self.s):
-            if self.order.ndim == 4:
-                ordered = np.take_along_axis(sym_llrs, self.order[..., n], axis=-1)
-            else:
-                ordered = sym_llrs[..., self.order[:, n]]
-            out[..., n] = _lse(ordered[..., half:]) - _lse(ordered[..., :half])
+            if not mass.min(initial=np.inf) >= _TINY:
+                bad = ~(mass >= _TINY).all(axis=-2)
+            np.log(mass, out=mass)
+            out = mass[..., :s, :] - mass[..., s:, :]
+        if bad is not None:  # masked log-sum-exp of the selected vectors only
+            sel = np.nonzero(bad)
+            masks = self.masks[sel[0]] if self.masks.ndim == 3 else self.masks
+            plus = masks[..., :s, :] > 0                              # (.., s, Q)
+            xr = np.moveaxis(sym_llrs, -2, -1)[sel][:, None, :]       # (r, 1, Q)
+            np.moveaxis(out, -2, -1)[sel] = (_lse(np.where(plus, xr, -np.inf))
+                                             - _lse(np.where(plus, -np.inf, xr)))
         return out
 
     def despread(self, chip_llrs: np.ndarray) -> np.ndarray:
-        """Full FF-DES: (.., L, s) prior chip LLRs -> (.., L, s) extrinsic chip LLRs."""
-        lead = chip_llrs.shape[:-2]
-        rows = self.L * self.s
-        if self.batched or rows > math.prod(lead):
+        """Full FF-DES: prior chip LLRs -> extrinsic chip LLRs, same shape."""
+        if self.batched:
             return self.chip_llrs(self.extrinsic_symbol_llrs(self.symbol_llrs(chip_llrs)))
-        ext = chip_llrs.reshape(lead + (rows,)) @ self._ext_map()
-        return self.chip_llrs(ext.reshape(lead + (self.L, self.q)))
+        shape = chip_llrs.shape
+        ext = self._ext_map() @ chip_llrs
+        return self.chip_llrs(ext.reshape(shape[:-2] + (self.L, self.q, shape[-1]))).reshape(shape)
 
     def total_bit_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
-        """Hard-decision input: (.., L, s) prior chip LLRs -> (.., s) posterior bit LLRs.
-
-        For shared kernels; a per-sample total goes to ``chip_llrs`` as (b, 1, Q).
-        """
-        return self.chip_llrs(self.total_llrs(self.symbol_llrs(chip_llrs)))
+        """Hard-decision input: prior chip LLRs -> (.., s, M) posterior bit LLRs."""
+        if self.batched:
+            return self.chip_llrs(self.total_llrs(self.symbol_llrs(chip_llrs)))
+        return self.chip_llrs(self._tot_map() @ chip_llrs)
 
 
 def ffdes_block(prior_chip_llrs, sv: SpreadingVector, mapper: BitMapper) -> np.ndarray:
@@ -234,8 +210,8 @@ def ffdes_block(prior_chip_llrs, sv: SpreadingVector, mapper: BitMapper) -> np.n
     if prior.shape[-1] != s * L:
         raise ValueError(f"expected {s * L} chip LLRs, got {prior.shape}")
     kern = _CodeKernel(sv.field, mapper.signs, sv.elements)
-    out = kern.despread(prior.reshape(prior.shape[:-1] + (L, s)))
-    return out.reshape(prior.shape)
+    out = kern.despread(prior.reshape(-1, s * L).T)
+    return out.T.reshape(prior.shape)
 
 
 def _ese_all(y: np.ndarray, la_x: np.ndarray, amplitude: float, n0: float) -> np.ndarray:
@@ -327,31 +303,33 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
             raise ValueError(f"true_chips shape {true_chips.shape} != {(K, T)}")
 
     kernels = [_CodeKernel(sp.sv.field, sp.mapper.signs, sp.sv.elements) for sp in specs]
+    slots = [chip_slots(sp) for sp in specs]
+    cols = (specs[0].L * specs[0].s, specs[0].n_symbols)
     la_x = np.zeros((K, T))
-    la_c = np.zeros((K, T))
+    la_c = np.zeros((K, T))  # per user an (L*s, N) array, see chip_slots
     trace = np.zeros((iterations, K))
+    extr = np.empty(T)
 
     for it in range(iterations):
         ese = _ese_all(y, la_x, params.amplitude, params.n0)
         np.clip(ese, -LLR_MAX, LLR_MAX, out=ese)
-        for k, sp in enumerate(specs):
-            permute(ese[k], sp.interleaver, "inverse", out=la_c[k])
-            groups = la_c[k].reshape(sp.n_symbols, sp.L, sp.s)
-            le = kernels[k].despread(groups)
+        for k in range(K):
+            la_c[k][slots[k]] = ese[k]
+            le = kernels[k].despread(la_c[k].reshape(cols))
             np.clip(le, -LLR_MAX, LLR_MAX, out=le)
-            extr = permute(le.reshape(-1), sp.interleaver, "forward")
-            la_x[k] *= DAMPING
-            la_x[k] += (1.0 - DAMPING) * extr
+            # "clip" never clips a permutation; unlike "raise" it needs no copy
+            np.take(le.reshape(-1), slots[k], out=extr, mode="clip")
             if true_chips is not None:
                 trace[it, k] = float(np.mean(true_chips[k] * extr))
             else:
                 trace[it, k] = float(np.mean(np.abs(extr)))
+            extr *= 1.0 - DAMPING
+            la_x[k] *= DAMPING
+            la_x[k] += extr
 
-    s_n = specs[0].s * specs[0].n_symbols
-    bit_llrs = np.empty((K, s_n))
-    for k, sp in enumerate(specs):
-        groups = la_c[k].reshape(sp.n_symbols, sp.L, sp.s)
-        bit_llrs[k] = kernels[k].total_bit_llrs(groups).reshape(-1)
+    bit_llrs = np.stack([kern.total_bit_llrs(la_c[k].reshape(cols)).T.reshape(-1)
+                         for k, kern in enumerate(kernels)])
     decisions = np.where(bit_llrs >= 0, 1, -1).astype(np.int8)
+    chip_priors = la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T)
     return DecodeResult(decisions=decisions, bit_llrs=bit_llrs, trace=trace,
-                        chip_priors=la_c)
+                        chip_priors=chip_priors)

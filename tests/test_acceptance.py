@@ -71,7 +71,7 @@ def test_03_despreader_matches_map_oracle():
         worst_ext = max(worst_ext, float(np.max(np.abs(got - want))))
         # decode_frame's own decision path
         kern = _CodeKernel(field, mapper.signs, sv.elements)
-        llrs = kern.total_bit_llrs(prior.reshape(sv.elements.size, mapper.s))
+        llrs = kern.total_bit_llrs(prior.reshape(-1, 1))[:, 0]
         want_tot = map_decision_oracle(prior, sv, mapper, field)
         worst_tot = max(worst_tot, float(np.max(np.abs(llrs - want_tot))))
     elapsed = time.perf_counter() - t0

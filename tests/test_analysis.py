@@ -1,8 +1,10 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ffspread import analysis
 from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
                                exit_ffdes_approx, exit_ffdes_exact,
                                ffdes_approx_curve, ffdes_exact_curve,
@@ -31,6 +33,21 @@ class TestFfdesExact:
     def test_rejects_negative_prior_mean(self):
         with pytest.raises(ValueError):
             exit_ffdes_exact(-1.0, 2, 8)
+
+    def test_sub_batches_leave_the_result_unchanged(self, monkeypatch):
+        whole = exit_ffdes_exact(2.0, 3, 4, samples=700, seed=5)
+        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)  # 3 samples per kernel
+        assert exit_ffdes_exact(2.0, 3, 4, samples=700, seed=5) == whole
+
+    def test_large_field_point_memory_is_bounded(self):
+        # one 4096-sample chunk at s=7 peaked at 265 MiB with a single kernel
+        tracemalloc.start()
+        try:
+            exit_ffdes_exact(2.0, 7, 8, samples=4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 << 20
 
 
 class TestFfdesApprox:

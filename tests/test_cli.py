@@ -39,6 +39,10 @@ class TestConfig:
             cfg.validate()
         assert len(exc.value.problems) == 1
         RunConfig(s=4, n=3000, l=8).validate()  # the largest benchmark sweep
+        # one symbol group, but a (2L, L) dense map of 2^25 entries
+        with pytest.raises(ConfigError, match="despreader budget"):
+            RunConfig(s=1, n=1, l=4096).validate()
+        RunConfig(s=12, n=512, l=8).validate()
 
     def test_config_file_and_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -220,7 +224,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flags", [["--s", "0"], ["--s", "13"], ["--l", "0"],
                                        ["--k", "0"], ["--samples", "0"],
-                                       ["--s", "0", "--samples", "0", "--k", "0"]])
+                                       ["--s", "0", "--samples", "0", "--k", "0"],
+                                       ["--eb_n0_db", "nan"]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2
@@ -243,6 +248,13 @@ class TestMainEntry:
             rows = list(csv.DictReader(fh))
         for r in rows:
             assert float(r["ber_estimate"]) < float(r["ber_bound"])
+
+    @pytest.mark.parametrize("flags", [["--s", "0"], ["--s", "13"], ["--l", "0"],
+                                       ["--eb_n0_db", "nan"], ["--eb_n0_db", "6,inf"]])
+    def test_predict_refuses_out_of_range(self, flags, tmp_path):
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--s", "2", "--l", "8", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["exit", "--s", "1", "--l", "2", "--k", "2", "--samples", "256",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffspread.codec import (Interleaver, SpreadingVector, UserCodeSpec,
-                            encode_user, identity_interleaver, make_interleaver,
+                            chip_slots, encode_user, identity_interleaver, make_interleaver,
                             ones_spreading, permute, random_spreading,
                             spread_block)
 from ffspread.gf import build_field, natural_mapper, random_mapper
@@ -56,16 +56,6 @@ class TestInterleaver:
         assert np.array_equal(permute(permute(v, il, "forward"), il, "inverse"), v)
         assert np.array_equal(permute(permute(v, il, "inverse"), il, "forward"), v)
 
-    def test_out_matches_new_array(self):
-        rng = np.random.default_rng(4)
-        il = make_interleaver(40, 7)
-        v = rng.normal(size=(3, 40))
-        for direction in ("forward", "inverse"):
-            out = np.empty_like(v)
-            got = permute(v, il, direction, out=out)
-            assert got is out
-            assert np.array_equal(out, permute(v, il, direction))
-
     def test_multiset_preserved(self):
         il = make_interleaver(30, 2)
         v = np.arange(30.0)
@@ -78,6 +68,18 @@ class TestInterleaver:
     def test_bad_direction(self):
         with pytest.raises(ValueError, match="direction"):
             permute(np.zeros(6), make_interleaver(6, 0), "sideways")
+
+    @pytest.mark.parametrize("s,L,n", [(1, 1, 5), (2, 3, 4), (3, 2, 1)])
+    def test_chip_slots_compose_group_columns(self, s, L, n):
+        spec = UserCodeSpec(mapper=random_mapper(s, 1), sv=ones_spreading(build_field(s), L),
+                            interleaver=make_interleaver(s * L * n, (s, L, n)), n_symbols=n)
+        slots = chip_slots(spec)
+        chips = np.arange(s * L * n, dtype=np.float64)          # chip order
+        received = permute(chips, spec.interleaver, "forward")
+        cols = np.empty_like(chips)
+        cols[slots] = received                                 # deinterleave
+        assert np.array_equal(cols.reshape(L * s, n), chips.reshape(n, L * s).T)
+        assert np.array_equal(cols[slots], received)           # interleave back
 
 
 class TestEncodeUser:

@@ -75,44 +75,44 @@ class TestChipToSymbol:
 class TestVariableExtrinsic:
     def test_identity_passthrough(self):
         kern = _kernel(natural_mapper(1), ones_spreading(build_field(1), 2).elements)
-        vecs = np.array([[0.0, 1.0], [0.0, -2.5]])
+        vecs = np.array([[0.0, 1.0], [0.0, -2.5]]).T
         out = kern.extrinsic_symbol_llrs(vecs)
-        assert out[0].tolist() == [0.0, -2.5]
+        assert out[:, 0].tolist() == [0.0, -2.5]
 
     def test_permuted_copy(self, gf4):
         kern = _kernel(natural_mapper(2), [1, 2])
         rng = np.random.default_rng(1)
         vecs = rng.normal(size=(2, 4))
         vecs[:, 0] = 0.0
-        out = kern.extrinsic_symbol_llrs(vecs)
+        out = kern.extrinsic_symbol_llrs(vecs.T)
         # single remaining term: input2 at index mul(lam, 2)
         expect = vecs[1, gf4.mul_table[np.arange(4), 2]]
-        assert np.allclose(out[0], expect)
+        assert np.allclose(out[:, 0], expect)
 
     def test_sum_of_copies(self, gf4):
         kern = _kernel(natural_mapper(2), ones_spreading(gf4, 3).elements)
         v = np.array([0.0, 0.5, -1.0, 2.0])
-        out = kern.extrinsic_symbol_llrs(np.tile(v, (3, 1)))
-        assert np.allclose(out[1], 2 * v)
+        out = kern.extrinsic_symbol_llrs(np.tile(v, (3, 1)).T)
+        assert np.allclose(out[:, 1], 2 * v)
 
 
 class TestSymbolToChip:
     def test_s1_two_term(self):
-        assert _kernel(natural_mapper(1)).chip_llrs(np.array([0.0, 1.3])).tolist() == [1.3]
+        assert _kernel(natural_mapper(1)).chip_llrs(np.array([[0.0], [1.3]])).tolist() == [[1.3]]
 
     def test_s2_hand_evaluated(self):
-        out = _kernel(natural_mapper(2)).chip_llrs(np.array([0.0, 2.0, 1.0, 3.0]))
-        assert np.allclose(out, [1.0, 2.0], atol=1e-12)
+        out = _kernel(natural_mapper(2)).chip_llrs(np.array([[0.0], [2.0], [1.0], [3.0]]))
+        assert np.allclose(out, [[1.0], [2.0]], atol=1e-12)
 
     def test_uniform_vector(self):
-        assert np.allclose(_kernel(random_mapper(2, 5)).chip_llrs(np.zeros(4)), 0.0)
+        assert np.allclose(_kernel(random_mapper(2, 5)).chip_llrs(np.zeros((4, 1))), 0.0)
 
     def test_inverts_chip_to_symbol(self):
         # additive vectors factor exactly, so the round trip is exact
         rng = np.random.default_rng(2)
         for seed in range(10):
             kern = _kernel(random_mapper(3, seed))
-            chips = rng.normal(size=3)
+            chips = rng.normal(size=(3, 1))
             back = kern.chip_llrs(kern.symbol_llrs(chips))
             assert np.allclose(back, chips, atol=1e-9)
 
@@ -131,8 +131,13 @@ def _per_bit_reference(x, signs):
     return out
 
 
+def _q_major_reference(x, signs):
+    """``_per_bit_reference`` on (.., Q, M) vectors, giving (.., s, M)."""
+    return np.swapaxes(_per_bit_reference(np.swapaxes(x, -1, -2), signs), -1, -2)
+
+
 def _marginalization_case(s, layout, rng, scale):
-    """(kernel, symbol LLR vectors, signs) for one kernel layout."""
+    """(kernel, symbol LLR vectors (.., Q, M), signs) for one kernel layout."""
     field = build_field(s)
     b, L = 4, 3
     if layout == "per-user":
@@ -143,7 +148,7 @@ def _marginalization_case(s, layout, rng, scale):
         signs = np.stack([random_mapper(s, (s, i)).signs for i in range(b)])
         sv = rng.integers(1, field.q, size=(b, L))
         x = rng.normal(0.0, scale, size=(b, L, field.q))
-    return _CodeKernel(field, signs, sv), x, signs
+    return _CodeKernel(field, signs, sv), np.swapaxes(x, -1, -2), signs
 
 
 class TestChipLlrsKernel:
@@ -154,12 +159,12 @@ class TestChipLlrsKernel:
     def test_matches_per_bit_reference(self, s, layout):
         rng = np.random.default_rng(40 + s)
         kern, x, signs = _marginalization_case(s, layout, rng, scale=20.0)
-        np.testing.assert_allclose(kern.chip_llrs(x), _per_bit_reference(x, signs),
+        np.testing.assert_allclose(kern.chip_llrs(x), _q_major_reference(x, signs),
                                    rtol=1e-12, atol=1e-12)
-        # total-LLR shape: one vector per leading index (P = 1 per sample)
-        tot = x[:, 0] if layout == "per-user" else x[:, :1]
+        # total-LLR shapes: (Q, N) on the frame path, (b, Q, 1) per sample
+        tot = x[0] if layout == "per-user" else x[..., :1]
         np.testing.assert_allclose(kern.chip_llrs(tot),
-                                   _per_bit_reference(tot, signs),
+                                   _q_major_reference(tot, signs),
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -167,7 +172,7 @@ class TestChipLlrsKernel:
     def test_underflowing_class_stays_finite(self, s, layout):
         rng = np.random.default_rng(50 + s)
         kern, x, signs = _marginalization_case(s, layout, rng, scale=1e3)
-        want = _per_bit_reference(x, signs)
+        want = _q_major_reference(x, signs)
         assert np.any(np.abs(want) > 800.0)  # exp(-800) underflows to 0
         got = kern.chip_llrs(x)
         assert np.all(np.isfinite(got))
@@ -182,22 +187,20 @@ class TestChipLlrsKernel:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_s1_is_a_subtraction(self, layout):
         kern, x, signs = _marginalization_case(1, layout, np.random.default_rng(3), 20.0)
-        plus = signs[..., 0] > 0
-        if signs.ndim == 3:
-            plus = plus[:, None, :]
-        want = (np.where(plus, x, 0.0).sum(-1) - np.where(plus, 0.0, x).sum(-1))[..., None]
+        plus = (signs[..., 0] > 0)[..., None]
+        want = (np.where(plus, x, 0.0).sum(-2) - np.where(plus, 0.0, x).sum(-2))[..., None, :]
         assert np.array_equal(kern.chip_llrs(x), want)
 
     def test_positive_inf_next_to_large_value(self):
         # bit classes holding +inf beside 1e300 once overflowed in exp; the
         # pytest configuration turns that RuntimeWarning into a failure
         kern, _, signs = _marginalization_case(3, "per-user", np.random.default_rng(4), 1.0)
-        x = np.zeros((2, 8))
-        x[:, 1] = np.inf
-        x[0, 2:] = 1e300
-        x[1, 2:] = -1e300
+        x = np.zeros((8, 2))
+        x[1] = np.inf
+        x[2:, 0] = 1e300
+        x[2:, 1] = -1e300
         got = kern.chip_llrs(x)
-        assert np.array_equal(got, np.broadcast_to(signs[1] * np.inf, got.shape))
+        assert np.array_equal(got, np.broadcast_to(signs[1, :, None] * np.inf, got.shape))
 
 
 class TestLse:
@@ -211,7 +214,8 @@ class TestLse:
 
 
 class TestDenseMapDespread:
-    """``despread`` takes the dense map iff L*s <= N, the number of groups."""
+    """``despread``'s dense map against the gather chain and the MAP oracle,
+    for N = L*s and N = L*s - 1 symbol groups."""
 
     CASES = [(s, L) for s in range(1, 7) for L in (1, 2, 5)] + [
         (1, 129), (2, 64), (4, 32), (4, 64), (6, 22)]
@@ -226,20 +230,21 @@ class TestDenseMapDespread:
         for n in sorted({rows, max(rows - 1, 1)}):
             kern = _CodeKernel(field, mapper.signs, sv.elements)
             x = rng.normal(0.0, 3.0, size=(n, L, s))
-            got = kern.despread(x)
-            assert (kern._m_ext is not None) == (rows <= n)
-            gathered = kern.chip_llrs(kern.extrinsic_symbol_llrs(kern.symbol_llrs(x)))
-            np.testing.assert_allclose(got, gathered, rtol=1e-12, atol=1e-12)
+            got = kern.despread(x.reshape(n, rows).T)                 # (L*s, n)
+            lsym = kern.symbol_llrs(np.swapaxes(x, 1, 2))
+            gathered = kern.chip_llrs(kern.extrinsic_symbol_llrs(lsym))  # (n, s, L)
+            np.testing.assert_allclose(got.T.reshape(n, L, s), np.swapaxes(gathered, 1, 2),
+                                       rtol=1e-12, atol=1e-12)
             for g in range(min(n, 2)):
                 want = map_despread_oracle(x[g].reshape(-1), sv, mapper, field)
-                np.testing.assert_allclose(got[g].reshape(-1), want, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(got[:, g], want, rtol=0, atol=1e-9)
 
     def test_map_keeps_entry_zero_and_own_block_zero(self):
         field = build_field(3)
         kern = _CodeKernel(field, random_mapper(3, 5).signs,
                            random_spreading(field, 4, 6).elements)
-        m = kern._ext_map().reshape(4, 3, 4, field.q)
-        assert np.all(m[..., 0] == 0.0)
+        m = kern._ext_map().reshape(4, field.q, 4, 3)
+        assert np.all(m[:, 0] == 0.0)
         for ell in range(4):
             assert np.all(m[ell, :, ell] == 0.0)
 
@@ -253,11 +258,46 @@ class TestDenseMapDespread:
         kern = _CodeKernel(field, random_mapper(s, seed).signs,
                            rng.integers(1, field.q, size=L))
         ell = data.draw(st.integers(0, L - 1))
-        x = rng.normal(0.0, 3.0, size=(L * s, L, s))
+        own = slice(ell * s, (ell + 1) * s)
+        x = rng.normal(0.0, 3.0, size=(L * s, L * s))
         base = kern.despread(x)
         assert kern._m_ext is not None
-        x[:, ell] += rng.normal(0.0, scale, size=(L * s, s))
-        assert np.array_equal(kern.despread(x)[:, ell], base[:, ell])
+        x[own] += rng.normal(0.0, scale, size=(s, L * s))
+        assert np.array_equal(kern.despread(x)[own], base[own])
+
+
+class TestFiniteOutputs:
+    """``despread`` and ``total_bit_llrs`` stay finite on both kernels for
+    finite inputs up to +/-1e4 in size.
+
+    +/-inf input is not supported: the maps' exact zeros give inf * 0 = NaN.
+    ``decode_frame`` clips every chip LLR to +/-LLR_MAX before a kernel
+    sees it.
+    """
+
+    @staticmethod
+    def _extreme(rng, shape):
+        """N(0, 1e3) entries, about half replaced by +/-LLR_MAX, +/-1e4 or 0."""
+        x = rng.normal(0.0, 1e3, size=shape)
+        pick = rng.random(shape) < 0.5
+        x[pick] = rng.choice([LLR_MAX, -LLR_MAX, 1e4, -1e4, 0.0], size=int(pick.sum()))
+        return x
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 6), L=st.integers(1, 6), n=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_extreme_inputs_give_finite_outputs(self, s, L, n, seed):
+        rng = np.random.default_rng(seed)
+        field = build_field(s)
+        shared = _CodeKernel(field, random_mapper(s, seed).signs,
+                             rng.integers(1, field.q, size=L))
+        per = _CodeKernel(field, np.stack([random_mapper(s, (seed, i)).signs for i in range(n)]),
+                          rng.integers(1, field.q, size=(n, L)))
+        cols = self._extreme(rng, (L * s, n))                         # n symbol groups
+        samples = self._extreme(rng, (n, s, L))                       # n samples
+        for out in (shared.despread(cols), shared.total_bit_llrs(cols),
+                    per.despread(samples), per.total_bit_llrs(samples)):
+            assert np.all(np.isfinite(out))
 
 
 class TestKernelLayouts:
@@ -272,13 +312,14 @@ class TestKernelLayouts:
         sv = rng.integers(1, field.q, size=(b, L))
         x = rng.normal(0.0, 3.0, size=(b, L, s))
         per = _CodeKernel(field, signs, sv)
-        got = per.despread(x)
-        got_tot = per.chip_llrs(per.total_llrs(per.symbol_llrs(x))[:, None])
+        got = per.despread(np.swapaxes(x, 1, 2))                      # (b, s, L)
+        got_tot = per.total_bit_llrs(np.swapaxes(x, 1, 2))            # (b, s, 1)
         for i in range(b):
             shared = _CodeKernel(field, signs[i], sv[i])
-            np.testing.assert_allclose(got[i], shared.despread(x[i:i + 1])[0],
+            col = x[i].reshape(-1, 1)                                 # (L*s, 1)
+            np.testing.assert_allclose(got[i].T.reshape(-1, 1), shared.despread(col),
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(got_tot[i, 0], shared.total_bit_llrs(x[i]),
+            np.testing.assert_allclose(got_tot[i], shared.total_bit_llrs(col),
                                        rtol=1e-12, atol=1e-12)
 
     def test_large_field_build_stays_small(self):
@@ -342,12 +383,12 @@ class TestTotalLlrAndDecide:
     def test_s1_sum_and_sign(self):
         kern = _kernel(natural_mapper(1), ones_spreading(build_field(1), 3).elements)
         llrs = kern.total_bit_llrs(np.array([[1.0], [-2.0], [0.5]]))
-        assert llrs.tolist() == [-0.5]
-        assert np.where(llrs >= 0, 1, -1).tolist() == [-1]
+        assert llrs.tolist() == [[-0.5]]
+        assert np.where(llrs >= 0, 1, -1).tolist() == [[-1]]
 
     def test_tie_resolves_positive(self):
         kern = _kernel(natural_mapper(1))
-        assert kern.total_bit_llrs(np.zeros((1, 1))).tolist() == [0.0]
+        assert kern.total_bit_llrs(np.zeros((1, 1))).tolist() == [[0.0]]
         # a frame of zeros gives all-zero bit LLRs, decided as +1
         specs = _make_system(np.random.default_rng(9), 1, 1, 1, 4, natural=True)
         params = ChannelParams(K=1, L=1, eb_n0_db=0.0)
@@ -361,7 +402,7 @@ class TestTotalLlrAndDecide:
         lam_star = 2
         chips = np.zeros((3, 2))
         chips[1] = LLR_MAX * m.signs[lam_star]
-        llrs = kern.total_bit_llrs(chips)
+        llrs = kern.total_bit_llrs(chips.reshape(-1, 1))[:, 0]
         assert np.array_equal(np.where(llrs >= 0, 1, -1), m.signs[lam_star])
 
     def test_matches_map_oracle(self):
@@ -370,7 +411,7 @@ class TestTotalLlrAndDecide:
         for _ in range(200):
             field, mapper, sv, prior = random_despread_instance(rng)
             kern = _CodeKernel(field, mapper.signs, sv.elements)
-            llrs = kern.total_bit_llrs(prior.reshape(sv.elements.size, mapper.s))
+            llrs = kern.total_bit_llrs(prior.reshape(-1, 1))[:, 0]
             want = map_decision_oracle(prior, sv, mapper, field)
             worst = max(worst, float(np.max(np.abs(llrs - want))))
         assert worst < 1e-9
@@ -380,10 +421,10 @@ class TestTotalLlrAndDecide:
         m = random_mapper(2, 14)
         sv = random_spreading(gf4, 3, 15)
         vecs = kernel_vecs = _CodeKernel(gf4, m.signs, sv.elements).symbol_llrs(
-            rng.normal(size=(3, 2)))
-        assert np.all(vecs[:, 0] == 0.0)
+            rng.normal(size=(3, 2)).T)
+        assert np.all(vecs[0] == 0.0)
         ext = _CodeKernel(gf4, m.signs, sv.elements).extrinsic_symbol_llrs(kernel_vecs)
-        assert np.all(ext[:, 0] == 0.0)
+        assert np.all(ext[0] == 0.0)
 
 
 def _make_system(rng, K, s, L, n, seed=0, natural=False):
