@@ -99,8 +99,11 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     """Despreader transfer point by sampling the production kernel.
 
     Each sample draws its own uniformly random mapper, nonzero spreading
-    vector and symbol, builds consistent-Gaussian chip priors, despreads
-    one symbol group, and reads c * L_e at one random output chip.
+    vector and symbol, builds consistent-Gaussian chip priors, and reads
+    c * L_e at one random output chip of position l.  L_e comes from the
+    decision path: position l's extrinsic symbol LLR, sum_{i != l}
+    lsym[lam * s_i / s_l, i], is the total after relabeling s_i -> s_i / s_l
+    (so s_l -> 1) with position l's prior chips, hence lsym[., l], zeroed.
     Kernels run in sub-batches of a chunk's draws, which bounds memory.
     """
     if m_a < 0:
@@ -112,22 +115,26 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     step = max(1, KERNEL_ENTRIES // (L * q))
 
     def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-        inverse = np.argsort(rng.permuted(np.tile(np.arange(q), (b, 1)), axis=1), axis=1)
+        forward = rng.permuted(np.tile(np.arange(q, dtype=np.int16), (b, 1)), axis=1)
         sv = rng.integers(1, q, size=(b, L))
         beta = rng.integers(0, q, size=b)
         gamma = field.mul_table[beta[:, None], sv].astype(np.int64)
         h = rng.normal(m_a, sigma, size=(b, L, s))
         li = rng.integers(0, L, size=b)
         ni = rng.integers(0, s, size=b)
+        # read position li through the total: its prior zeroed, s_li relabeled to 1
+        h[np.arange(b), li] = 0.0
+        sv = field.mul_table[sv, field.inv_table[sv[np.arange(b), li]][:, None]]
         vals = np.empty(b)
         for lo in range(0, b, step):
             part = slice(lo, lo + step)
-            signs = basis[inverse[part]]                             # (p, Q, s)
-            rows = np.arange(signs.shape[0])
+            rows = np.arange(min(step, b - lo))
+            signs = np.empty((rows.size, q, s), dtype=np.int8)        # (p, Q, s)
+            signs[rows[:, None], forward[part]] = basis               # pattern v -> forward[v]
             chips = signs[rows[:, None], gamma[part]].astype(np.float64)  # (p, L, s)
             x = np.ascontiguousarray(np.swapaxes(chips * h[part], 1, 2))  # (p, s, L)
-            ext = _CodeKernel(field, signs, sv[part]).despread(x)
-            vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], li[part]]
+            ext = _CodeKernel(field, signs, sv[part]).total_bit_llrs(x)  # (p, s, 1)
+            vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], 0]
         return vals
 
     return _mc_mean(one_chunk, samples, seed)

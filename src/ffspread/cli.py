@@ -37,7 +37,7 @@ from .channel import ChannelParams, transmit
 from .codec import (UserCodeSpec, encode_user, make_interleaver, ones_spreading,
                     random_spreading)
 from .decoder import decode_frame
-from .gf import build_field, natural_mapper, random_mapper
+from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
 MAX_CHIPS_PER_USER = 1 << 24
 # entries of one user's largest float64 despreader array, its (L*2^s, N)
@@ -80,8 +80,8 @@ class RunConfig:
                      "min_errors", "max_frames"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be a positive integer")
-        if not 1 <= self.s <= 12:
-            problems.append("s must be in [1, 12]")
+        if not 1 <= self.s <= MAX_DEGREE:
+            problems.append(f"s must be in [1, {MAX_DEGREE}]")
         if len(self.eb_n0_db) == 0:
             problems.append("eb_n0_db list must be non-empty")
         if any(not math.isfinite(v) for v in self.eb_n0_db):
@@ -95,7 +95,8 @@ class RunConfig:
                 f"s*n*l = {self.s * self.n * self.l} exceeds the per-user "
                 f"chip budget {MAX_CHIPS_PER_USER}"
             )
-        entries = max(self.n, self.l * self.s) * self.l * 2 ** self.s if 1 <= self.s <= 12 else 0
+        entries = (max(self.n, self.l * self.s) * self.l * 2 ** self.s
+                   if 1 <= self.s <= MAX_DEGREE else 0)
         if entries > MAX_DESPREAD_ENTRIES:
             problems.append(
                 f"max(n, l*s)*l*2^s = {entries} exceeds the despreader "
@@ -417,8 +418,8 @@ def _check_args(args, positive: tuple[str, ...]) -> None:
     """Refuse out-of-range subcommand arguments before anything is written."""
     problems = [f"{name} must be a positive integer"
                 for name in positive if getattr(args, name) < 1]
-    if not 1 <= args.s <= 12:
-        problems.append("s must be in [1, 12]")
+    if not 1 <= args.s <= MAX_DEGREE:
+        problems.append(f"s must be in [1, {MAX_DEGREE}]")
     if not all(math.isfinite(v) for v in np.atleast_1d(args.eb_n0_db)):
         problems.append("eb_n0_db values must be finite")
     if problems:
@@ -437,8 +438,14 @@ def _cmd_exit(args) -> int:
 
 
 def _cmd_slope(args) -> int:
-    s_values = [int(v) for v in args.s_values.replace(",", " ").split()]
-    l_values = [int(v) for v in args.l_values.replace(",", " ").split()]
+    try:
+        s_values = [int(v) for v in args.s_values.replace(",", " ").split()]
+        l_values = [int(v) for v in args.l_values.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError([f"bad slope grid value: {exc}"]) from exc
+    if not (s_values and l_values and min(l_values) >= 1 and 1 <= min(s_values)
+            and max(s_values) <= MAX_DEGREE):
+        raise ConfigError([f"s_values must lie in [1, {MAX_DEGREE}], l_values be >= 1"])
     write_slope_table(args.out, s_values, l_values)
     print(args.out)
     return 0

@@ -26,7 +26,8 @@ bit LLRs, the final decision); ``ffdes_block`` is the public wrapper of
 ``despread``.  Arrays are Q-major: each user's chip LLRs are an (L*s, N)
 array, one column per symbol group, laid out by ``codec.chip_slots``.
 The first two steps are linear: one matmul with a dense (L*2^s, L*s) map
-per user, or gathers for per-sample mappers (the EXIT analysis).
+per user.  Per-sample mappers (the EXIT analysis) use the decision path
+alone, by gathers.
 Marginalization is one exponential per max-shifted symbol vector and one
 matmul with the bit-class indicators, falling back to log-sum-exp where a
 class mass underflows (possible on the unclamped analysis path).
@@ -55,8 +56,6 @@ _TINY = np.finfo(np.float64).tiny
 
 def _lse(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) along the last axis, max-stabilized."""
-    if x.shape[-1] == 1:  # m + log(exp(0)) is exactly m
-        return x[..., 0]
     m = np.max(x, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)  # all -inf: empty mass
     # exp can overflow only in a row whose max is +inf, whose sum is +inf anyway
@@ -79,10 +78,10 @@ class _CodeKernel:
     marginalization.
 
     A per-sample kernel (``signs`` (b, Q, s), ``sv_elements`` (b, L), the
-    EXIT path) takes chips as (b, s, L) and gathers: ``symbol_llrs``
-    gives (b, Q, L), ``total_llrs`` (b, Q, 1); ``despread`` returns
-    (b, s, L) and ``total_bit_llrs`` (b, s, 1).  The gathers also run on
-    a shared kernel, for (.., s, L) chips.
+    EXIT path) has one entry point, ``total_bit_llrs``: it maps (b, s, L)
+    chips to (b, s, 1) by gathers, ``symbol_llrs`` giving (b, Q, L) and
+    ``total_llrs`` (b, Q, 1).  The gathers, and ``extrinsic_symbol_llrs``,
+    also run on a shared kernel, for (.., s, L) chips.
     """
 
     def __init__(self, field: FieldSpec, signs: np.ndarray, sv_elements: np.ndarray):
@@ -96,16 +95,16 @@ class _CodeKernel:
         # whose bit m is +1, rows s + m those whose bit m is -1
         plus = np.swapaxes(signs, -1, -2) > 0
         self.masks = np.concatenate([plus, ~plus], axis=-2).astype(np.float64)
-        # Flat indices into a group's (Q, L) symbol block and (Q, 1) total,
-        # plus each sample's offset: tot_cols[i, lam] picks lsym[lam*s_i, i],
-        # ext_cols[lam, l] picks ltot[lam*inv(s_l)].  The product table is
-        # symmetric: row e holds lam*e for every lam.
+        # Flat indices into a group's (Q, L) symbol block, plus each sample's
+        # offset, and (shared kernels) into its (Q, 1) total: tot_cols[i, lam]
+        # picks lsym[lam*s_i, i], ext_cols[lam, l] picks ltot[lam*inv(s_l)].
+        # The product table is symmetric: row e holds lam*e for every lam.
         first = np.arange(len(sv_elements))[:, None, None] if self.batched else 0
         mt = field.mul_table
         self.tot_cols = mt[sv_elements].astype(np.int64) * self.L     # (.., L, Q)
         self.tot_cols += np.arange(self.L)[:, None] + first * (self.q * self.L)
-        self.ext_cols = np.swapaxes(mt[field.inv_table[sv_elements]], -1, -2).astype(np.int64)
-        self.ext_cols += first * self.q
+        if not self.batched:
+            self.ext_cols = mt[field.inv_table[sv_elements]].T.astype(np.int64)
         self._m_ext = self._m_tot = None
 
     def _unit_symbol_llrs(self) -> np.ndarray:
@@ -186,8 +185,6 @@ class _CodeKernel:
 
     def despread(self, chip_llrs: np.ndarray) -> np.ndarray:
         """Full FF-DES: prior chip LLRs -> extrinsic chip LLRs, same shape."""
-        if self.batched:
-            return self.chip_llrs(self.extrinsic_symbol_llrs(self.symbol_llrs(chip_llrs)))
         shape = chip_llrs.shape
         ext = self._ext_map() @ chip_llrs
         return self.chip_llrs(ext.reshape(shape[:-2] + (self.L, self.q, shape[-1]))).reshape(shape)
@@ -247,18 +244,6 @@ class DecodeResult:
     bit_llrs: np.ndarray     # (K, s*N) total posterior bit LLRs
     trace: np.ndarray        # (iterations, K) mean extrinsic chip LLR per user
     chip_priors: np.ndarray  # (K, s*N*L) final deinterleaved a-priori chip LLRs
-
-
-def write_trace_csv(path, trace: np.ndarray) -> None:
-    """Dump a decode trace as CSV rows (iteration, user, mean_extrinsic_llr)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "user", "mean_extrinsic_llr"])
-        for it in range(trace.shape[0]):
-            for k in range(trace.shape[1]):
-                w.writerow([it + 1, k, repr(float(trace[it, k]))])
 
 
 def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams,

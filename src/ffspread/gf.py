@@ -106,10 +106,10 @@ class FieldSpec:
         return p
 
     def _build_mul_table(self) -> np.ndarray:
-        logs = self.log_table[1:]
-        prods = self.exp_table[(logs[:, None] + logs[None, :]) % (self.q - 1)]
+        # int16 log sums stay below 2(Q-1): a doubled exp table needs no modulo
+        logs = self.log_table[1:].astype(np.int16)
         table = np.zeros((self.q, self.q), dtype=np.int16)
-        table[1:, 1:] = prods
+        table[1:, 1:] = np.tile(self.exp_table.astype(np.int16), 2)[logs[:, None] + logs[None, :]]
         return table
 
     def mul(self, a, b):

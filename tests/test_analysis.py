@@ -49,6 +49,17 @@ class TestFfdesExact:
             tracemalloc.stop()
         assert peak < 100 << 20
 
+    def test_s10_point_memory_is_bounded(self):
+        # int16 mapper draws scattered into the sign tables: int64 draws and
+        # their argsort took this point to 110 MiB
+        tracemalloc.start()
+        try:
+            exit_ffdes_exact(2.0, 10, 8, samples=4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 << 20
+
 
 class TestFfdesApprox:
     def test_s1_exact_line(self):

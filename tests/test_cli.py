@@ -240,6 +240,16 @@ class TestMainEntry:
         assert rows[0]["s"] == "1" and float(rows[0]["g_std"]) == 1.0
         assert float(rows[1]["g_std"]) == pytest.approx(1.2411, abs=1e-4)
 
+    @pytest.mark.parametrize("flags", [["--s_values", "0"], ["--s_values", "13"],
+                                       ["--l_values", "0"], ["--s_values", "x"],
+                                       ["--l_values", "8,1.5"], ["--s_values", ""],
+                                       ["--s_values", "2,0", "--l_values", "0"]])
+    def test_slope_refuses_out_of_range(self, flags, tmp_path):
+        out = tmp_path / "slopes.csv"
+        assert main(["slope", "--s_values", "1,2", "--l_values", "8", *flags,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_predict_subcommand(self, tmp_path):
         out = tmp_path / "pred.csv"
         assert main(["predict", "--s", "2", "--l", "8",

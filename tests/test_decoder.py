@@ -11,8 +11,7 @@ from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
                             random_spreading)
-from ffspread.decoder import (LLR_MAX, _CodeKernel, _ese_all, _lse, decode_frame,
-                              ffdes_block, write_trace_csv)
+from ffspread.decoder import LLR_MAX, _CodeKernel, _ese_all, _lse, decode_frame, ffdes_block
 from ffspread.gf import build_field, natural_mapper, random_mapper
 
 
@@ -296,7 +295,7 @@ class TestFiniteOutputs:
         cols = self._extreme(rng, (L * s, n))                         # n symbol groups
         samples = self._extreme(rng, (n, s, L))                       # n samples
         for out in (shared.despread(cols), shared.total_bit_llrs(cols),
-                    per.despread(samples), per.total_bit_llrs(samples)):
+                    per.total_bit_llrs(samples)):
             assert np.all(np.isfinite(out))
 
 
@@ -304,23 +303,34 @@ class TestKernelLayouts:
     @pytest.mark.parametrize("L", (1, 3, 8))
     @pytest.mark.parametrize("s", range(1, 5))
     def test_per_sample_matches_shared_kernels(self, s, L):
-        # the EXIT path's per-sample kernel against the frame path's shared one
+        # the EXIT path's per-sample kernel against the frame path's shared
+        # one: its totals, and position l's extrinsic as the total of the
+        # symbol relabeled by inv(s_l) with position l's prior zeroed
         rng = np.random.default_rng(70 + 10 * s + L)
         field = build_field(s)
         b = 6
-        signs = np.stack([random_mapper(s, (s, L, i)).signs for i in range(b)])
+        mappers = [random_mapper(s, (s, L, i)) for i in range(b)]
+        signs = np.stack([m.signs for m in mappers])
         sv = rng.integers(1, field.q, size=(b, L))
         x = rng.normal(0.0, 3.0, size=(b, L, s))
-        per = _CodeKernel(field, signs, sv)
-        got = per.despread(np.swapaxes(x, 1, 2))                      # (b, s, L)
-        got_tot = per.total_bit_llrs(np.swapaxes(x, 1, 2))            # (b, s, 1)
+        chips = np.swapaxes(x, 1, 2)                                  # (b, s, L)
+        got_tot = _CodeKernel(field, signs, sv).total_bit_llrs(chips)  # (b, s, 1)
+        got_ext = np.empty((b, L, s))
+        for ell in range(L):
+            zeroed = chips.copy()
+            zeroed[:, :, ell] = 0.0
+            relabeled = field.mul_table[sv, field.inv_table[sv[:, ell]][:, None]]
+            got_ext[:, ell] = _CodeKernel(field, signs, relabeled).total_bit_llrs(zeroed)[..., 0]
         for i in range(b):
             shared = _CodeKernel(field, signs[i], sv[i])
             col = x[i].reshape(-1, 1)                                 # (L*s, 1)
-            np.testing.assert_allclose(got[i].T.reshape(-1, 1), shared.despread(col),
-                                       rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got_tot[i], shared.total_bit_llrs(col),
                                        rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got_ext[i].reshape(-1, 1), shared.despread(col),
+                                       rtol=1e-12, atol=1e-12)
+            want = map_despread_oracle(x[i].reshape(-1), SpreadingVector(field, sv[i]),
+                                       mappers[i], field)
+            np.testing.assert_allclose(got_ext[i].reshape(-1), want, rtol=0, atol=1e-9)
 
     def test_large_field_build_stays_small(self):
         # s=12, L=8 passes RunConfig.validate(); the build must not copy
@@ -512,23 +522,6 @@ class TestDecodeFrame:
             decode_frame(np.zeros(7), specs, params, iterations=1)
         with pytest.raises(ValueError, match="user specs"):
             decode_frame(np.zeros(8), specs * 2, params, iterations=1)
-
-    def test_trace_csv_dump(self, tmp_path):
-        import csv
-        rng = np.random.default_rng(36)
-        specs = _make_system(rng, 2, 1, 2, 8, seed=7)
-        params = ChannelParams(K=2, L=2, eb_n0_db=4.0)
-        info = rng.integers(0, 2, (2, 8)) * 2 - 1
-        chips = np.stack([encode_user(info[k], specs[k]) for k in range(2)])
-        y = transmit(chips, params, rng)
-        res = decode_frame(y, specs, params, iterations=3, true_chips=chips)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, res.trace)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3 * 2
-        assert rows[0]["iteration"] == "1" and rows[0]["user"] == "0"
-        assert float(rows[-1]["mean_extrinsic_llr"]) == res.trace[2, 1]
 
     def test_s1_equals_repetition_idma(self):
         # full-decoder equivalence against the independently coded

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ class TestBuildField:
         for s in (0, 13):
             with pytest.raises(ValueError):
                 build_field(s)
+
+    def test_largest_field_build_memory(self):
+        # int16 index arithmetic: (Q-1)^2 int64 temporaries peaked at 256 MiB
+        # for the 32 MiB s=12 product table
+        tracemalloc.start()
+        try:
+            build_field(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 20
+
+    @pytest.mark.parametrize("s", [5, 8, 12])
+    def test_mul_table_matches_poly_oracle(self, s):
+        f = build_field(s)
+        rng = np.random.default_rng(s)
+        for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
+            assert f.mul_table[a, b] == poly_mul_mod(a, b, f.poly, s)
 
     def test_default_polys_are_primitive(self):
         for s in DEFAULT_PRIMITIVE_POLY:
