@@ -36,7 +36,7 @@ from . import analysis, slope
 from .channel import ChannelParams, transmit
 from .codec import (UserCodeSpec, encode_user, make_interleaver, ones_spreading,
                     random_spreading)
-from .decoder import decode_frame
+from .decoder import decode_frame, share_cpus
 from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
 MAX_CHIPS_PER_USER = 1 << 24
@@ -169,7 +169,11 @@ def run_ber_sweep(cfg: RunConfig, csv_path=None) -> list[BerRecord]:
     """
     cfg.validate()
     records = []
-    executor = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    executor = None
+    if cfg.workers > 1:
+        # each worker decodes on its share of the CPUs, with OpenBLAS pinned
+        executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=share_cpus,
+                                       initargs=(cfg.workers,))
     try:
         for point_idx in range(len(cfg.eb_n0_db)):
             t0 = time.perf_counter()

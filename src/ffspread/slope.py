@@ -158,9 +158,9 @@ def predict_ber(s: int, L: int, eb_n0_linear) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(eb_n0_linear, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("eb_n0_linear must be > 0")
-    g_dec = float(g_closed_form(s, L + 1))
-    est = _qfunc(np.sqrt(2.0 * g_dec * x / L))
-    bound = np.exp(-standard_slope(s, L) * x)
+    g = g_closed_form(s, L + 1)
+    est = _qfunc(np.sqrt(2.0 * float(g) * x / L))
+    bound = np.exp(-float(g / L) * x)  # standard_slope(s, L) without a second g
     return est, bound
 
 

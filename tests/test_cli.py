@@ -1,5 +1,11 @@
 import csv
 import math
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -156,6 +162,45 @@ class TestBerSweep:
         run_ber_sweep(RunConfig(workers=1, **base), csv_path=p1)
         run_ber_sweep(RunConfig(workers=2, **base), csv_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_worker_processes_after_threaded_frame(self, tmp_path):
+        # The parent's decode pool exists when the sweep forks its workers;
+        # a worker that reused it would wait forever on threads it lacks.
+        script = textwrap.dedent("""
+            import dataclasses
+            import sys
+            import numpy as np
+            from ffspread import cli, decoder
+            from ffspread.channel import ChannelParams
+
+            decoder.THREAD_MIN_CHIPS = 0
+            decoder._cpu_share = lambda: 2
+            decoder._pin_blas = lambda: True
+            cfg = cli.RunConfig(k=3, s=2, l=4, n=256, eb_n0_db=(2.0, 4.0), iterations=4,
+                                seed=8, min_errors=40, max_frames=6)
+            params = ChannelParams(K=3, L=4, eb_n0_db=2.0)
+            y = np.random.default_rng(0).normal(size=2 * 256 * 4)
+            decoder.decode_frame(y, cli.build_user_specs(cfg), params, iterations=2)
+            assert decoder._pool is not None
+            for workers in (1, 2):
+                cli.run_ber_sweep(dataclasses.replace(cfg, workers=workers),
+                                  csv_path=f"{sys.argv[1]}/w{workers}.csv")
+        """)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        # a session of its own, so a hung sweep's workers can be killed with it
+        with subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            try:
+                _, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        assert proc.returncode == 0, err[-2000:]
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "ber.csv"

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from helpers import (lse, map_decision_oracle, map_despread_oracle,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffspread import decoder
 from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
@@ -568,3 +571,54 @@ class TestDecodeFrame:
         np.testing.assert_allclose(back.trace, res.trace[:, perm], rtol=0, atol=1e-9)
         sure = np.abs(res.bit_llrs[perm]) > 1e-6
         assert np.array_equal(back.decisions[sure], res.decisions[perm][sure])
+
+
+class TestThreads:
+    """Threaded frames give the serial frame's outputs bit for bit."""
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_outputs_equal_across_thread_counts(self, K, monkeypatch):
+        rng = np.random.default_rng(40 + K)
+        specs = _make_system(rng, K, 2, 4, 600, seed=40 + K)
+        params = ChannelParams(K=K, L=4, eb_n0_db=3.0)
+        info = rng.integers(0, 2, (K, 1200)) * 2 - 1
+        chips = np.stack([encode_user(info[k], specs[k]) for k in range(K)])
+        y = transmit(chips, params, rng)
+        # every frame threaded, several ESE blocks, threads even without OpenBLAS
+        monkeypatch.setattr(decoder, "THREAD_MIN_CHIPS", 0)
+        monkeypatch.setattr(decoder, "_ESE_COLUMNS", 1000)
+        monkeypatch.setattr(decoder, "_pin_blas", lambda: True)
+        idents = set()
+        despread = _CodeKernel.despread
+
+        def recorded(self, *args):
+            idents.add(threading.get_ident())
+            return despread(self, *args)
+
+        monkeypatch.setattr(_CodeKernel, "despread", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {}
+            for n in (1, 2, 3):
+                monkeypatch.setattr(decoder, "_cpu_share", lambda n=n: n)
+                idents.clear()
+                runs[n] = [decode_frame(y, specs, params, iterations=6, true_chips=tc)
+                           for tc in (None, chips)]
+                want = min(K, n)
+                assert len(idents) == 1 if want == 1 else len(idents) >= 2
+        finally:
+            sys.setswitchinterval(interval)
+        for n in (2, 3):
+            for got, ref in zip(runs[n], runs[1]):
+                for field in ("decisions", "bit_llrs", "trace", "chip_priors"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field)), (n, field)
+
+    def test_small_frames_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(decoder, "_cpu_share", lambda: 4)
+        monkeypatch.setattr(decoder, "_pin_blas", lambda: True)
+        assert decoder._frame_threads(8, decoder.THREAD_MIN_CHIPS // 8 - 1) == 1
+        assert decoder._frame_threads(8, decoder.THREAD_MIN_CHIPS // 8) == 4
+        assert decoder._frame_threads(3, decoder.THREAD_MIN_CHIPS) == 3
+        monkeypatch.setattr(decoder, "_pin_blas", lambda: False)
+        assert decoder._frame_threads(8, decoder.THREAD_MIN_CHIPS) == 1
