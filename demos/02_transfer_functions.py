@@ -4,8 +4,8 @@ Estimates the despreader's prior-to-extrinsic LLR-mean map two ways (by
 running the production despreading kernel on sampled priors, and by the
 closed sampling approximation), shows that the approximation is a tight
 upper bound, and runs the two-curve convergence check against the signal
-estimator.  Writes CSVs next to this script; plots them if matplotlib is
-available."""
+estimator.  Writes the three curves as one CSV in the working directory;
+plots them if matplotlib is available."""
 
 import numpy as np
 
@@ -43,11 +43,8 @@ else:
           f"{res.stuck_at:.2f} (uncoded transmission cannot drive the "
           f"means to infinity at finite Eb/N0)")
 
-from ffspread.analysis import write_ese_csv, write_exit_csv
-
-write_exit_csv(f"exit_s{S}_L{L}.csv", exact, approx)
-write_ese_csv(f"ese_K{K}_L{L}.csv", ese)
-print(f"\nwrote exit_s{S}_L{L}.csv and ese_K{K}_L{L}.csv")
+ff.write_curves_csv(f"transfer_s{S}_L{L}_K{K}.csv", exact=exact, approx=approx, ese=ese)
+print(f"\nwrote transfer_s{S}_L{L}_K{K}.csv")
 
 try:
     import matplotlib

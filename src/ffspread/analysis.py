@@ -251,24 +251,14 @@ def tunnel_check(s: int, L: int, K: int, eb_n0: float, grid=None,
     return TunnelResult(False, x)
 
 
-def write_exit_csv(path, exact: ExitCurve, approx: ExitCurve) -> None:
-    """Columns: m_a, m_e_exact, se_exact, m_e_approx, se_approx."""
-    if not np.array_equal(exact.m_a, approx.m_a):
-        raise ValueError("exact and approximate curves must share the grid")
+def write_curves_csv(path, **curves: ExitCurve) -> None:
+    """One row per grid point: ``m_a``, then ``m_e_<name>`` and ``se_<name>``
+    for each keyword-named curve, in argument order, on their shared grid."""
+    grids = [c.m_a for c in curves.values()]
+    if not grids or not all(np.array_equal(grids[0], g) for g in grids):
+        raise ValueError("curves must share one grid")
+    columns = [grids[0]] + [a for c in curves.values() for a in (c.m_e, c.std_err)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["m_a", "m_e_exact", "se_exact", "m_e_approx", "se_approx"])
-        for i in range(exact.m_a.size):
-            w.writerow([repr(float(exact.m_a[i])), repr(float(exact.m_e[i])),
-                        repr(float(exact.std_err[i])), repr(float(approx.m_e[i])),
-                        repr(float(approx.std_err[i]))])
-
-
-def write_ese_csv(path, curve: ExitCurve) -> None:
-    """Columns: m_a, m_e, se."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m_a", "m_e", "se"])
-        for i in range(curve.m_a.size):
-            w.writerow([repr(float(curve.m_a[i])), repr(float(curve.m_e[i])),
-                        repr(float(curve.std_err[i]))])
+        w.writerow(["m_a"] + [f"{col}_{name}" for name in curves for col in ("m_e", "se")])
+        w.writerows([repr(float(v)) for v in row] for row in zip(*columns))

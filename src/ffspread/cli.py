@@ -76,16 +76,6 @@ class RunConfig:
 
     def validate(self) -> None:
         problems = []
-        for name in ("k", "s", "l", "n", "iterations", "workers",
-                     "min_errors", "max_frames"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be a positive integer")
-        if not 1 <= self.s <= MAX_DEGREE:
-            problems.append(f"s must be in [1, {MAX_DEGREE}]")
-        if len(self.eb_n0_db) == 0:
-            problems.append("eb_n0_db list must be non-empty")
-        if any(not math.isfinite(v) for v in self.eb_n0_db):
-            problems.append("eb_n0_db values must be finite")
         if self.mapper not in ("natural", "random"):
             problems.append("mapper must be 'natural' or 'random'")
         if self.sv not in ("random", "all-ones"):
@@ -102,8 +92,32 @@ class RunConfig:
                 f"max(n, l*s)*l*2^s = {entries} exceeds the despreader "
                 f"budget {MAX_DESPREAD_ENTRIES} (float64 entries per user)"
             )
-        if problems:
-            raise ConfigError(problems)
+        names = ("k", "s", "l", "n", "iterations", "workers", "min_errors", "max_frames")
+        _check_ranges(problems, positive={name: getattr(self, name) for name in names},
+                     s=self.s, eb_n0_db=self.eb_n0_db)
+
+
+def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = None,
+                 eb_n0_db=None, grid: tuple | None = None, window: tuple | None = None) -> None:
+    """Refuse out-of-range arguments before anything is written: ``positive``
+    integers by name, a field degree ``s``, an ``eb_n0_db`` scalar or list, a
+    slope ``grid`` (s_values, l_values) and a BER ``window`` (lo, hi).  One
+    ``ConfigError`` lists these problems, then the caller's ``problems``."""
+    found = [f"{name} must be a positive integer"
+             for name, value in (positive or {}).items() if value < 1]
+    if s is not None and not 1 <= s <= MAX_DEGREE:
+        found.append(f"s must be in [1, {MAX_DEGREE}]")
+    if eb_n0_db is not None and np.size(eb_n0_db) == 0:
+        found.append("eb_n0_db list must be non-empty")
+    if eb_n0_db is not None and not np.isfinite(eb_n0_db).all():
+        found.append("eb_n0_db values must be finite")
+    if grid is not None and not (all(grid) and 1 <= min(grid[0])
+                                 and max(grid[0]) <= MAX_DEGREE and min(grid[1]) >= 1):
+        found.append(f"s_values must lie in [1, {MAX_DEGREE}], l_values be >= 1")
+    if window is not None and not 0 < window[0] < window[1] < math.inf:
+        found.append("window must be finite with 0 < lo < hi")
+    if found or problems:
+        raise ConfigError(found + list(problems))
 
 
 @dataclass(frozen=True)
@@ -237,10 +251,13 @@ def read_ber_csv(path) -> list[BerRecord]:
 
 
 def fit_slope(records: list[BerRecord], window=(1e-4, 1e-2)) -> float:
-    """Least-squares |slope| of ln(BER) vs linear Eb/N0 inside the BER window."""
+    """Least-squares |slope| of ln(BER) vs linear Eb/N0 inside the BER window.
+
+    Zero-BER records have no logarithm and never enter the fit.
+    """
     lo, hi = window
     pts = [(10.0 ** (r.eb_n0_db / 10.0), math.log(r.ber))
-           for r in records if lo <= r.ber <= hi]
+           for r in records if r.ber > 0 and lo <= r.ber <= hi]
     if len(pts) < 2:
         raise FitError(
             f"need >= 2 records with BER in [{lo}, {hi}], found {len(pts)}"
@@ -255,19 +272,12 @@ def emit_exit_chart(s: int, l: int, k: int, eb_n0_db: float, samples: int,
     """One CSV row per grid point: despreader exact and approximate
     transfer values plus the signal-estimator curve."""
     grid = analysis.DEFAULT_GRID
-    exact = analysis.ffdes_exact_curve(s, l, grid, samples, analysis._seed_tuple(seed, 1))
-    approx = analysis.ffdes_approx_curve(s, l, grid, samples, analysis._seed_tuple(seed, 2))
-    ese = analysis.ese_curve(k, l, 10.0 ** (eb_n0_db / 10.0), grid, samples,
-                             analysis._seed_tuple(seed, 3))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m_a", "m_e_exact", "se_exact", "m_e_approx", "se_approx",
-                    "m_e_ese", "se_ese"])
-        for i in range(len(grid)):
-            w.writerow([repr(float(grid[i])),
-                        repr(float(exact.m_e[i])), repr(float(exact.std_err[i])),
-                        repr(float(approx.m_e[i])), repr(float(approx.std_err[i])),
-                        repr(float(ese.m_e[i])), repr(float(ese.std_err[i]))])
+    analysis.write_curves_csv(
+        path,
+        exact=analysis.ffdes_exact_curve(s, l, grid, samples, analysis._seed_tuple(seed, 1)),
+        approx=analysis.ffdes_approx_curve(s, l, grid, samples, analysis._seed_tuple(seed, 2)),
+        ese=analysis.ese_curve(k, l, 10.0 ** (eb_n0_db / 10.0), grid, samples,
+                               analysis._seed_tuple(seed, 3)))
 
 
 def write_slope_table(path, s_values, l_values) -> None:
@@ -418,21 +428,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _check_args(args, positive: tuple[str, ...]) -> None:
-    """Refuse out-of-range subcommand arguments before anything is written."""
-    problems = [f"{name} must be a positive integer"
-                for name in positive if getattr(args, name) < 1]
-    if not 1 <= args.s <= MAX_DEGREE:
-        problems.append(f"s must be in [1, {MAX_DEGREE}]")
-    if not all(math.isfinite(v) for v in np.atleast_1d(args.eb_n0_db)):
-        problems.append("eb_n0_db values must be finite")
-    if problems:
-        raise ConfigError(problems)
-
-
 def _cmd_exit(args) -> int:
     import pathlib
-    _check_args(args, ("l", "k", "samples"))
+    _check_ranges(positive={"l": args.l, "k": args.k, "samples": args.samples},
+                 s=args.s, eb_n0_db=args.eb_n0_db)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"exit_s{args.s}_L{args.l}.csv"
@@ -447,22 +446,21 @@ def _cmd_slope(args) -> int:
         l_values = [int(v) for v in args.l_values.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError([f"bad slope grid value: {exc}"]) from exc
-    if not (s_values and l_values and min(l_values) >= 1 and 1 <= min(s_values)
-            and max(s_values) <= MAX_DEGREE):
-        raise ConfigError([f"s_values must lie in [1, {MAX_DEGREE}], l_values be >= 1"])
+    _check_ranges(grid=(s_values, l_values))
     write_slope_table(args.out, s_values, l_values)
     print(args.out)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    _check_args(args, ("l",))
+    _check_ranges(positive={"l": args.l}, s=args.s, eb_n0_db=args.eb_n0_db)
     write_prediction(args.out, args.s, args.l, args.eb_n0_db)
     print(args.out)
     return 0
 
 
 def _cmd_fit(args) -> int:
+    _check_ranges(window=args.window)
     records = read_ber_csv(args.input)
     value = fit_slope(records, window=tuple(args.window))
     print(repr(value))

@@ -50,24 +50,17 @@ def ones_spreading(field: FieldSpec, length: int) -> SpreadingVector:
 
 @dataclass(frozen=True)
 class Interleaver:
-    """Permutation of chip positions with its cached inverse."""
+    """Permutation of chip positions: channel position t carries chip ``perm[t]``."""
 
     perm: np.ndarray
-    inv_perm: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
         self.perm.setflags(write=False)
-        self.inv_perm.setflags(write=False)
 
     @property
     def length(self) -> int:
         return int(self.perm.size)
-
-
-def identity_interleaver(length: int) -> Interleaver:
-    perm = np.arange(length, dtype=np.int64)
-    return Interleaver(perm=perm, inv_perm=perm.copy())
 
 
 def make_interleaver(length: int, seed) -> Interleaver:
@@ -75,24 +68,17 @@ def make_interleaver(length: int, seed) -> Interleaver:
     if length < 1:
         raise ValueError("interleaver length must be >= 1")
     perm = np.random.default_rng(seed).permutation(length).astype(np.int64)
-    return Interleaver(perm=perm, inv_perm=np.argsort(perm), seed=seed)
+    return Interleaver(perm=perm, seed=seed)
 
 
-def permute(values: np.ndarray, interleaver: Interleaver,
-            direction: str = "forward") -> np.ndarray:
-    """Reorder a vector; 'forward' then 'inverse' is the identity."""
+def permute(values: np.ndarray, interleaver: Interleaver) -> np.ndarray:
+    """Interleave the last axis: output position t takes input position ``perm[t]``."""
     values = np.asarray(values)
     if values.shape[-1] != interleaver.length:
         raise ValueError(
             f"vector length {values.shape[-1]} does not match interleaver length {interleaver.length}"
         )
-    if direction == "forward":
-        idx = interleaver.perm
-    elif direction == "inverse":
-        idx = interleaver.inv_perm
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return values[..., idx]
+    return values[..., interleaver.perm]
 
 
 @dataclass(frozen=True)
@@ -173,4 +159,4 @@ def encode_user(info: np.ndarray, spec: UserCodeSpec) -> np.ndarray:
     beta = bits_to_symbols(info, spec.mapper)                    # (N,)
     gamma = spec.sv.field.mul_table[beta[:, None], spec.sv.elements[None, :]]  # (N, L)
     chips = spec.mapper.signs[gamma]                             # (N, L, s)
-    return permute(chips.reshape(-1).astype(np.float64), spec.interleaver, "forward")
+    return permute(chips.reshape(-1).astype(np.float64), spec.interleaver)

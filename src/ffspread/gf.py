@@ -3,8 +3,8 @@
 Field elements are integers 0 .. 2^s - 1 whose binary digits are the
 coefficients of a polynomial over GF(2); addition is bitwise XOR and
 multiplication is carried out modulo a primitive polynomial of degree s.
-Multiplication and inversion go through exp/log lookup tables built from
-the powers of the primitive element alpha (the polynomial ``x``).
+Products and inverses are read from ``mul_table`` and ``inv_table``, built
+from the exp/log tables of the primitive element alpha (the polynomial ``x``).
 
 A :class:`BitMapper` realizes a bijection between length-s vectors over
 {+1, -1} (chips) and field elements.  The "natural" mapper takes chip m
@@ -39,7 +39,9 @@ MAX_DEGREE = 12
 
 
 class FieldSpec:
-    """GF(2^s) with exp/log/multiplication/inverse tables.
+    """GF(2^s) as lookup tables: ``exp_table``, ``log_table``, ``mul_table``
+    (product of any two elements, 0 absorbing) and ``inv_table`` (inverse of
+    each nonzero element; entry 0 is unused).
 
     Parameters
     ----------
@@ -112,25 +114,6 @@ class FieldSpec:
         table[1:, 1:] = np.tile(self.exp_table.astype(np.int16), 2)[logs[:, None] + logs[None, :]]
         return table
 
-    def mul(self, a, b):
-        """Field product; 0 absorbs.  Accepts scalars or arrays."""
-        return self.mul_table[a, b]
-
-    def inv(self, a):
-        """Multiplicative inverse of a nonzero element (or array of them)."""
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("0 has no multiplicative inverse in GF(2^s)")
-        return self.inv_table[a]
-
-    def add(self, a, b):
-        return np.bitwise_xor(a, b)
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
     def __repr__(self):
         return f"FieldSpec(s={self.s}, poly=0b{self.poly:b})"
 
@@ -153,13 +136,12 @@ class BitMapper:
 
     ``forward[v]`` is the element assigned to the chip pattern with
     natural integer form v (+1 as bit 1, first chip most significant);
-    ``inverse`` is its inverse permutation and ``signs[lam, m-1]`` gives
-    the m-th chip of the demapped vector of element lam.
+    ``signs[lam]`` is the chip vector of element lam, so ``signs[lam, m-1]``
+    is its m-th chip.
     """
 
     s: int
     forward: np.ndarray
-    inverse: np.ndarray
     signs: np.ndarray
     seed: int | None = None
 
@@ -168,14 +150,12 @@ class BitMapper:
         if sorted(self.forward.tolist()) != list(range(q)):
             raise ValueError("forward table is not a permutation of the field elements")
         self.forward.setflags(write=False)
-        self.inverse.setflags(write=False)
         self.signs.setflags(write=False)
 
 
 def _make_mapper(s: int, forward: np.ndarray, seed: int | None = None) -> BitMapper:
-    inverse = np.argsort(forward)
-    signs = _sign_basis(s)[inverse]
-    return BitMapper(s=s, forward=forward, inverse=inverse, signs=signs, seed=seed)
+    signs = _sign_basis(s)[np.argsort(forward)]
+    return BitMapper(s=s, forward=forward, signs=signs, seed=seed)
 
 
 def natural_mapper(s: int) -> BitMapper:
@@ -199,11 +179,6 @@ def map_bits(bits, mapper: BitMapper) -> int:
     for b in bits:
         v = (v << 1) | (1 if b > 0 else 0)
     return int(mapper.forward[v])
-
-
-def demap(lam: int, mapper: BitMapper) -> np.ndarray:
-    """Full length-s chip vector of element lam."""
-    return mapper.signs[lam].copy()
 
 
 def demap_bit(lam: int, m: int, mapper: BitMapper) -> int:

@@ -74,6 +74,7 @@ def repetition_idma_decoder(y, interleavers, params, iterations, llr_max=50.0,
     n_sym = T // L
     la_x = np.zeros((K, T))
     la_c = np.zeros((K, T))
+    inverses = [np.argsort(il.perm) for il in interleavers]
     for _ in range(iterations):
         t = np.tanh(la_x / 2.0)
         v = 1.0 - t * t
@@ -83,7 +84,7 @@ def repetition_idma_decoder(y, interleavers, params, iterations, llr_max=50.0,
             num = 2.0 * a * (y - a * (st - t[k]))
             den = a * a * (sv_ - v[k]) + n0 / 2.0
             e = np.clip(num / den, -llr_max, llr_max)
-            la_c[k] = e[interleavers[k].inv_perm]
+            la_c[k] = e[inverses[k]]
             grp = la_c[k].reshape(n_sym, L)
             ext = np.stack(
                 [grp[:, [i for i in range(L) if i != ell]].sum(axis=1)

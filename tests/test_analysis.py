@@ -8,7 +8,7 @@ from ffspread import analysis
 from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
                                exit_ffdes_approx, exit_ffdes_exact,
                                ffdes_approx_curve, ffdes_exact_curve,
-                               tunnel_check, write_ese_csv, write_exit_csv)
+                               tunnel_check, write_curves_csv)
 from ffspread.slope import g_closed_form
 
 SAMPLES = 20_000
@@ -182,17 +182,22 @@ class TestCurvesAndCsv:
         exact = ffdes_exact_curve(1, 2, grid=grid, samples=500, seed=1)
         approx = ffdes_approx_curve(1, 2, grid=grid, samples=500, seed=2)
         path = tmp_path / "exit.csv"
-        write_exit_csv(path, exact, approx)
+        write_curves_csv(path, exact=exact, approx=approx)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["m_a", "m_e_exact", "se_exact", "m_e_approx", "se_approx"]
         assert [float(r["m_a"]) for r in rows] == list(grid)
-        assert [float(r["m_e_approx"]) for r in rows] == approx.m_e.tolist()
+        assert [float(r["m_e_exact"]) for r in rows] == exact.m_e.tolist()
+        assert [float(r["se_approx"]) for r in rows] == approx.std_err.tolist()
+        other = ffdes_approx_curve(1, 2, grid=(0.0, 1.0, 3.0), samples=500, seed=2)
+        with pytest.raises(ValueError, match="grid"):
+            write_curves_csv(tmp_path / "bad.csv", exact=exact, approx=other)
 
     def test_ese_csv(self, tmp_path):
         curve = ese_curve(2, 4, 5.0, grid=(0.0, 2.0), samples=500, seed=3)
         path = tmp_path / "ese.csv"
-        write_ese_csv(path, curve)
+        write_curves_csv(path, ese=curve)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == ["m_a", "m_e", "se"]
-        assert [float(r["m_e"]) for r in rows] == curve.m_e.tolist()
+        assert list(rows[0]) == ["m_a", "m_e_ese", "se_ese"]
+        assert [float(r["m_e_ese"]) for r in rows] == curve.m_e.tolist()

@@ -124,6 +124,12 @@ class TestFitSlope:
         with pytest.raises(FitError, match=">= 2"):
             fit_slope([BerRecord(0.0, 1, 100, 0, 1e-3, 0.0)])
 
+    def test_zero_ber_left_out(self):
+        records = [BerRecord(3.0, 1, 100, 0, 1e-3, 0.0),
+                   BerRecord(6.0, 1, 100, 0, 5e-4, 0.0),
+                   BerRecord(9.0, 1, 100, 0, 0.0, 0.0)]
+        assert fit_slope(records, window=(0.0, 1e-2)) == fit_slope(records[:2])
+
 
 class TestBerSweep:
     def test_noiseless_zero_errors(self):
@@ -257,6 +263,8 @@ class TestMainEntry:
         assert code == 0
         with open(tmp_path / "exit_s1_L4.csv") as fh:
             rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["m_a", "m_e_exact", "se_exact", "m_e_approx", "se_approx",
+                                 "m_e_ese", "se_ese"]
         assert [float(r["m_a"]) for r in rows][:3] == [0.0, 0.25, 0.5]
         # s=1 approximation is the exact line (L-1) * m_a
         for r in rows:
@@ -305,11 +313,24 @@ class TestMainEntry:
             assert float(r["ber_estimate"]) < float(r["ber_bound"])
 
     @pytest.mark.parametrize("flags", [["--s", "0"], ["--s", "13"], ["--l", "0"],
-                                       ["--eb_n0_db", "nan"], ["--eb_n0_db", "6,inf"]])
+                                       ["--eb_n0_db", "nan"], ["--eb_n0_db", "6,inf"],
+                                       ["--eb_n0_db", ""]])
     def test_predict_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "pred.csv"
         assert main(["predict", "--s", "2", "--l", "8", *flags, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("window", [["0", "1e-2"], ["1e-2", "1e-4"], ["nan", "1e-2"],
+                                        ["1e-4", "nan"], ["1e-4", "inf"], ["1e-3", "1e-3"]])
+    def test_fit_refuses_bad_window(self, window, tmp_path):
+        path = tmp_path / "ber.csv"
+        # a sweep whose last point saw no errors
+        write_ber_csv(path, [BerRecord(6.0, 4, 4000, 8, 2e-3, 0.0),
+                             BerRecord(7.0, 4, 4000, 2, 5e-4, 0.0),
+                             BerRecord(8.0, 4, 4000, 0, 0.0, 0.0)])
+        assert main(["fit", "--input", str(path), "--window", *window]) == 2
+        assert main(["fit", "--input", str(path), "--window", "1e-4", "1e-2"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ber.csv"]
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["exit", "--s", "1", "--l", "2", "--k", "2", "--samples", "256",

@@ -476,7 +476,7 @@ class TestDecodeFrame:
         chips = encode_user(info, specs[0])[None, :]
         y = transmit(chips, params, rng)
         res = decode_frame(y, specs, params, iterations=1)
-        y_dei = y[specs[0].interleaver.inv_perm].reshape(n, L)
+        y_dei = y[np.argsort(specs[0].interleaver.perm)].reshape(n, L)
         want = (4.0 / params.n0) * params.amplitude * y_dei.sum(axis=1)
         assert np.allclose(res.bit_llrs[0], want, atol=1e-9)
 

@@ -1,6 +1,6 @@
 """Smoke test: the quick demos run to completion against the current API.
 
-Demo 04 (a BER waterfall, about 15 s) stays out.
+Demo 04 (a BER waterfall, about 15 s) stays out; CI runs it as its own step.
 """
 
 import os
