@@ -21,9 +21,11 @@ Three estimators:
 * ``exit_ese`` averages 4 / (2 sum_i (1 - tanh^2(h_i)) + L/(Eb/N0))
   with h_i i.i.d. N(m_a/2, m_a/2), i = 1..K-1.
 
-Sampling is chunked (4096 samples per chunk, one child seed per chunk)
-so results are deterministic for a fixed (seed, samples) pair no matter
-how chunks are scheduled.
+Sampling is chunked (4096 samples per chunk, one child seed per chunk).
+Chunks run in waves on the decoder's thread pool, one chunk per thread,
+and each wave's chunk sums are added in chunk order before the next wave
+starts.  A chunk's values do not depend on how many threads run, so
+means, standard errors and CSVs are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .decoder import _CodeKernel
+from .decoder import _CodeKernel, _run_split, _task_threads
 from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
-# largest b*L*Q of one per-sample despreading kernel: its (b, Q, L) float64
-# arrays stay at 8 MiB each
-KERNEL_ENTRIES = 1 << 20
+# float64 entries of the per-sample arrays that all concurrent sub-batches
+# hold at once, e.g. the (p, Q, L) kernel arrays of each thread's p samples:
+# 2 MiB per array across the threads
+KERNEL_ENTRIES = 1 << 18
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
 
 
@@ -71,20 +74,33 @@ def _seed_tuple(seed, *tags: int) -> tuple[int, ...]:
     return base + tuple(int(t) for t in tags)
 
 
-def _mc_mean(sample_fn, samples: int, seed) -> tuple[float, float]:
-    """Chunked Monte-Carlo mean and standard error of a per-sample statistic."""
+def _mc_mean(sample_fn, samples: int, seed, entries: int = 0) -> tuple[float, float]:
+    """Chunked Monte-Carlo mean and standard error of a per-sample statistic.
+
+    ``sample_fn(rng, b, step)`` returns a chunk's b values, computed in
+    sub-batches of ``step`` samples.  With ``entries`` per-sample entries,
+    ``step`` keeps the sub-batches of all threads within ``KERNEL_ENTRIES``.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n_done, acc, acc2 = 0, 0.0, 0.0
-    chunk_idx = 0
-    while n_done < samples:
-        b = min(CHUNK, samples - n_done)
-        rng = np.random.default_rng(_seed_tuple(seed, chunk_idx))
-        vals = sample_fn(rng, b)
-        acc += float(vals.sum())
-        acc2 += float((vals * vals).sum())
-        n_done += b
-        chunk_idx += 1
+    chunks = -(-samples // CHUNK)
+    threads = _task_threads(chunks)
+    step = max(1, KERNEL_ENTRIES // max(1, entries * threads))
+    sums = [(0.0, 0.0)] * threads   # (sum, sum of squares) of one wave's chunks
+
+    def run(part: range) -> None:
+        for c in part:
+            rng = np.random.default_rng(_seed_tuple(seed, c))
+            vals = sample_fn(rng, min(CHUNK, samples - c * CHUNK), step)
+            sums[c % threads] = float(vals.sum()), float((vals * vals).sum())
+
+    acc, acc2 = 0.0, 0.0
+    for first in range(0, chunks, threads):
+        wave = range(first, min(first + threads, chunks))
+        _run_split(run, wave, len(wave))
+        for c in wave:
+            acc += sums[c % threads][0]
+            acc2 += sums[c % threads][1]
     mean = acc / samples
     if samples > 1:
         var = max(acc2 - samples * mean * mean, 0.0) / (samples - 1)
@@ -112,9 +128,8 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     q = field.q
     basis = _sign_basis(s)
     sigma = np.sqrt(2.0 * m_a)
-    step = max(1, KERNEL_ENTRIES // (L * q))
 
-    def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
+    def one_chunk(rng: np.random.Generator, b: int, step: int) -> np.ndarray:
         forward = rng.permuted(np.tile(np.arange(q, dtype=np.int16), (b, 1)), axis=1)
         sv = rng.integers(1, q, size=(b, L))
         beta = rng.integers(0, q, size=b)
@@ -137,12 +152,16 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
             vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], 0]
         return vals
 
-    return _mc_mean(one_chunk, samples, seed)
+    return _mc_mean(one_chunk, samples, seed, entries=L * q)
 
 
 def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
                       seed=0) -> tuple[float, float]:
-    """Upper-bound approximation of the despreader transfer point."""
+    """Upper-bound approximation of the despreader transfer point.
+
+    The closed form runs in sub-batches of a chunk's draws, so its
+    (p, Q, L-1) temporaries stay within ``KERNEL_ENTRIES``.
+    """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
     q = 1 << s
@@ -150,22 +169,22 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     sigma = np.sqrt(2.0 * m_a)
     bits01 = ((_sign_basis(s) + 1) // 2).astype(np.float64)      # (Q, s) 0/1 rows
 
-    def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
+    def one_chunk(rng: np.random.Generator, b: int, step: int) -> np.ndarray:
         r_idx = rng.integers(0, q - 1, size=(b, n_j, L - 1))      # excludes all-ones
         rp_idx = rng.integers(1, q, size=(b, n_j - 1, L - 1))     # excludes all-zeros
         h = rng.normal(m_a, sigma, size=(b, L - 1, s))
-        dots = h @ bits01.T                                       # (b, L-1, Q)
-        dots_t = np.swapaxes(dots, 1, 2)                          # (b, Q, L-1)
-        su = np.take_along_axis(dots_t, r_idx, axis=1).sum(axis=2)    # (b, n_j)
-        term2 = logsumexp(su, axis=1)
-        if n_j > 1:
-            sp = np.take_along_axis(dots_t, rp_idx, axis=1).sum(axis=2)
-            term3 = np.logaddexp(0.0, logsumexp(-sp, axis=1))
-        else:
-            term3 = np.zeros(b)
-        return s * (L - 1) * m_a - term2 + term3
+        vals = np.empty(b)
+        for lo in range(0, b, step):
+            part = slice(lo, lo + step)
+            dots_t = np.swapaxes(h[part] @ bits01.T, 1, 2)            # (p, Q, L-1)
+            su = np.take_along_axis(dots_t, r_idx[part], axis=1).sum(axis=2)  # (p, n_j)
+            vals[part] = s * (L - 1) * m_a - logsumexp(su, axis=1)
+            if n_j > 1:
+                sp = np.take_along_axis(dots_t, rp_idx[part], axis=1).sum(axis=2)
+                vals[part] += np.logaddexp(0.0, logsumexp(-sp, axis=1))
+        return vals
 
-    return _mc_mean(one_chunk, samples, seed)
+    return _mc_mean(one_chunk, samples, seed, entries=(L - 1) * q)
 
 
 def exit_ese(m_a: float, eb_n0: float, K: int, L: int, samples: int = 100_000,
@@ -179,7 +198,7 @@ def exit_ese(m_a: float, eb_n0: float, K: int, L: int, samples: int = 100_000,
         raise ValueError("eb_n0 must be > 0 (linear ratio)")
     sigma = np.sqrt(m_a / 2.0)
 
-    def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
+    def one_chunk(rng: np.random.Generator, b: int, _step: int) -> np.ndarray:
         h = rng.normal(m_a / 2.0, sigma, size=(b, K - 1))
         t = np.tanh(h)
         return 4.0 / (2.0 * (1.0 - t * t).sum(axis=1) + L / eb_n0)

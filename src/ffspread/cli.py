@@ -41,7 +41,8 @@ from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
 MAX_CHIPS_PER_USER = 1 << 24
 # entries of one user's largest float64 despreader array, its (L*2^s, N)
-# block or its (L*2^s, L*s) dense map: 2^24 is 128 MiB
+# block or its (L*2^s, L*s) dense map, and of one EXIT chunk's largest
+# draw: 2^24 is 128 MiB
 MAX_DESPREAD_ENTRIES = 1 << 24
 
 
@@ -94,19 +95,31 @@ class RunConfig:
             )
         names = ("k", "s", "l", "n", "iterations", "workers", "min_errors", "max_frames")
         _check_ranges(problems, positive={name: getattr(self, name) for name in names},
-                     s=self.s, eb_n0_db=self.eb_n0_db)
+                     s=self.s, eb_n0_db=self.eb_n0_db, seed=self.seed)
 
 
 def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = None,
-                 eb_n0_db=None, grid: tuple | None = None, window: tuple | None = None) -> None:
+                 eb_n0_db=None, seed: int | None = None, chart: tuple | None = None,
+                 grid: tuple | None = None, window: tuple | None = None) -> None:
     """Refuse out-of-range arguments before anything is written: ``positive``
     integers by name, a field degree ``s``, an ``eb_n0_db`` scalar or list, a
-    slope ``grid`` (s_values, l_values) and a BER ``window`` (lo, hi).  One
-    ``ConfigError`` lists these problems, then the caller's ``problems``."""
+    ``seed``, an EXIT ``chart`` (s, l, k), a slope ``grid`` (s_values,
+    l_values) and a BER ``window`` (lo, hi).  One ``ConfigError`` lists these
+    problems, then the caller's ``problems``."""
     found = [f"{name} must be a positive integer"
              for name, value in (positive or {}).items() if value < 1]
     if s is not None and not 1 <= s <= MAX_DEGREE:
         found.append(f"s must be in [1, {MAX_DEGREE}]")
+    if seed is not None and seed < 0:
+        found.append("seed must be >= 0")
+    if chart is not None and 1 <= chart[0] <= MAX_DEGREE:
+        c_s, c_l, c_k = chart
+        # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) indices, exact's
+        # (CHUNK, l, s) priors and the signal estimator's (CHUNK, k-1) priors
+        draw = analysis.CHUNK * max(2 ** (c_s - 1) * (c_l - 1), c_s * c_l, c_k - 1)
+        if draw > MAX_DESPREAD_ENTRIES:
+            found.append(f"one EXIT chunk draws {draw} entries, above the budget "
+                         f"{MAX_DESPREAD_ENTRIES}")
     if eb_n0_db is not None and np.size(eb_n0_db) == 0:
         found.append("eb_n0_db list must be non-empty")
     if eb_n0_db is not None and not np.isfinite(eb_n0_db).all():
@@ -431,7 +444,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_exit(args) -> int:
     import pathlib
     _check_ranges(positive={"l": args.l, "k": args.k, "samples": args.samples},
-                 s=args.s, eb_n0_db=args.eb_n0_db)
+                 s=args.s, eb_n0_db=args.eb_n0_db, seed=args.seed,
+                 chart=(args.s, args.l, args.k))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"exit_s{args.s}_L{args.l}.csv"

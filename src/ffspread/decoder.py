@@ -41,11 +41,13 @@ Threads.  The schedule makes each iteration two sets of independent
 tasks: ESE column blocks, then per-user despreading.  A frame of at
 least ``THREAD_MIN_CHIPS`` chips (K * s*N*L) runs each set on a
 persistent thread pool, min(K, usable CPUs / ``share_cpus`` processes)
-threads wide.  Each task does the serial arithmetic on what it owns, so
-results are bit-identical for any thread count.  OpenBLAS threads would
-compete with these for the cores, so before the first threaded frame
-every OpenBLAS library loaded into the process is set to one thread, for
-the rest of the process; where none is found frames run serially.
+threads wide.  The EXIT analysis runs its Monte-Carlo chunks on the same
+pool, by the same rule with chunks for users.  Each task does the serial
+arithmetic on what it owns, so results are bit-identical for any thread
+count.  OpenBLAS threads would compete with these for the cores, so
+before the first threaded frame or EXIT point every OpenBLAS library
+loaded into the process is set to one thread, for the rest of the
+process; where none is found everything runs serially.
 """
 
 from __future__ import annotations
@@ -256,7 +258,8 @@ def _pin_blas() -> bool:
 
     Returns whether one was found.  numpy and scipy each load their own
     copy, so all are pinned.  The setting is process-wide and never
-    changed back.
+    changed back; it serves threaded frames and threaded EXIT sampling
+    alike.
     """
     global _blas_pinned
     if _blas_pinned is None:
@@ -290,12 +293,16 @@ def _cpu_share() -> int:
     return max(1, cpus // _processes)
 
 
+def _task_threads(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: min(tasks, usable CPUs per
+    process), or 1 unless OpenBLAS could be pinned (see ``_pin_blas``)."""
+    threads = min(tasks, _cpu_share())
+    return threads if threads > 1 and _pin_blas() else 1
+
+
 def _frame_threads(K: int, T: int) -> int:
     """Threads that decode a frame of K users and T chips each."""
-    if K * T < THREAD_MIN_CHIPS:
-        return 1
-    threads = min(K, _cpu_share())
-    return threads if threads > 1 and _pin_blas() else 1
+    return 1 if K * T < THREAD_MIN_CHIPS else _task_threads(K)
 
 
 def _thread_pool(workers: int) -> ThreadPoolExecutor:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffspread import analysis
+from ffspread import analysis, decoder
 from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
                                exit_ffdes_approx, exit_ffdes_exact,
                                ffdes_approx_curve, ffdes_exact_curve,
@@ -12,6 +12,28 @@ from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
 from ffspread.slope import g_closed_form
 
 SAMPLES = 20_000
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def cpu_share(monkeypatch):
+    """Sets the usable CPUs per process, and so the EXIT sampling threads."""
+    if not decoder._pin_blas():
+        pytest.skip("no OpenBLAS to pin: EXIT sampling stays serial")
+
+    def set_share(n: int) -> None:
+        monkeypatch.setattr(decoder, "_cpu_share", lambda: n)
+        assert decoder._task_threads(n) == n
+    return set_share
 
 
 class TestFfdesExact:
@@ -41,24 +63,23 @@ class TestFfdesExact:
 
     def test_large_field_point_memory_is_bounded(self):
         # one 4096-sample chunk at s=7 peaked at 265 MiB with a single kernel
-        tracemalloc.start()
-        try:
-            exit_ffdes_exact(2.0, 7, 8, samples=4096, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert _traced_peak(lambda: exit_ffdes_exact(2.0, 7, 8, samples=4096, seed=1)) < 100 << 20
+
+    def test_two_threads_stay_within_the_bound(self, cpu_share):
+        cpu_share(2)
+        peak = _traced_peak(lambda: exit_ffdes_exact(2.0, 7, 8, samples=2 * analysis.CHUNK,
+                                                     seed=1))
         assert peak < 100 << 20
+
+    def test_threads_share_the_kernel_budget(self, cpu_share):
+        # serial, with 2^20 kernel entries per sub-batch, this point peaked at 48 MiB
+        cpu_share(2)
+        assert _traced_peak(lambda: exit_ffdes_exact(2.0, 6, 8, samples=8192, seed=1)) < 48 << 20
 
     def test_s10_point_memory_is_bounded(self):
         # int16 mapper draws scattered into the sign tables: int64 draws and
         # their argsort took this point to 110 MiB
-        tracemalloc.start()
-        try:
-            exit_ffdes_exact(2.0, 10, 8, samples=4096, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 96 << 20
+        assert _traced_peak(lambda: exit_ffdes_exact(2.0, 10, 8, samples=4096, seed=1)) < 96 << 20
 
 
 class TestFfdesApprox:
@@ -101,6 +122,11 @@ class TestFfdesApprox:
         secant = (hi - lo) / 20.0
         assert secant == pytest.approx(g, rel=0.02)
 
+    def test_sub_batches_leave_the_result_unchanged(self, monkeypatch):
+        whole = exit_ffdes_approx(2.0, 3, 4, samples=700, seed=5)
+        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)  # 4 samples per sub-batch
+        assert exit_ffdes_approx(2.0, 3, 4, samples=700, seed=5) == whole
+
     def test_asymptotically_linear(self):
         grid = np.array([20.0, 25.0, 30.0, 35.0, 40.0])
         vals = np.array([exit_ffdes_approx(g, 2, 8, samples=SAMPLES, seed=7)[0]
@@ -113,6 +139,35 @@ class TestFfdesApprox:
         vals = [exit_ffdes_approx(g, 4, 8, samples=SAMPLES, seed=8)[0]
                 for g in (0.0, 0.5, 2.0, 8.0, 20.0)]
         assert np.all(np.diff(vals) > 0)
+
+
+class TestThreadCount:
+    """Chunks sampled on 1, 2 or 3 threads give the same (mean, se)."""
+
+    SAMPLES = 3 * analysis.CHUNK + 17   # four chunks, the last one short
+
+    @staticmethod
+    def _on_threads(cpu_share, point) -> list:
+        results = []
+        for n in (1, 2, 3):
+            cpu_share(n)
+            results.append(point())
+        return results
+
+    @pytest.mark.parametrize("L", [1, 4, 8])
+    @pytest.mark.parametrize("s", [1, 2, 4, 6])
+    def test_despreader_points(self, s, L, cpu_share):
+        # at L = 1 an approx sample has (L-1)*Q = 0 entries
+        one, two, three = self._on_threads(cpu_share, lambda: (
+            exit_ffdes_exact(2.0, s, L, self.SAMPLES, seed=(s, L)),
+            exit_ffdes_approx(2.0, s, L, self.SAMPLES, seed=(s, L))))
+        assert two == one and three == one
+
+    @pytest.mark.parametrize("L", [1, 4, 8])
+    def test_estimator_points(self, L, cpu_share):
+        one, two, three = self._on_threads(
+            cpu_share, lambda: exit_ese(1.5, 5.0, 8, L, self.SAMPLES, seed=L))
+        assert two == one and three == one
 
 
 class TestEse:

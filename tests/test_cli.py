@@ -247,7 +247,7 @@ class TestMainEntry:
         assert main(["simulate", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("flags", [["--mapper", "weird"], ["--k", "two"],
-                                       ["--noiseless", "maybe"]])
+                                       ["--noiseless", "maybe"], ["--seed", "-1"]])
     def test_bad_flag_exit_code(self, flags, tmp_path):
         try:
             code = main(["simulate", "--outdir", str(tmp_path), *flags])
@@ -278,11 +278,20 @@ class TestMainEntry:
     @pytest.mark.parametrize("flags", [["--s", "0"], ["--s", "13"], ["--l", "0"],
                                        ["--k", "0"], ["--samples", "0"],
                                        ["--s", "0", "--samples", "0", "--k", "0"],
-                                       ["--eb_n0_db", "nan"]])
+                                       ["--eb_n0_db", "nan"], ["--seed", "-1"],
+                                       # one chunk's approx indices, ESE priors
+                                       # and exact priors above 2^24 entries
+                                       ["--s", "12", "--l", "8"], ["--k", "1000000"],
+                                       ["--k", "4098"], ["--s", "1", "--l", "4097"]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2
         assert not out.exists()
+
+    def test_exit_accepts_the_largest_chunk(self, tmp_path):
+        # 4096 * (k - 1) and 4096 * s * l are 2^24 entries, the budget
+        assert main(["exit", "--s", "1", "--l", "4096", "--k", "4097", "--samples", "2",
+                     "--outdir", str(tmp_path)]) == 0
 
     def test_slope_subcommand(self, tmp_path):
         out = tmp_path / "slopes.csv"
