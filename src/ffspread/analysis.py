@@ -22,10 +22,10 @@ Three estimators:
   with h_i i.i.d. N(m_a/2, m_a/2), i = 1..K-1.
 
 Sampling is chunked (4096 samples per chunk, one child seed per chunk).
-Chunks run in waves on the decoder's thread pool, one chunk per thread,
-and each wave's chunk sums are added in chunk order before the next wave
-starts.  A chunk's values do not depend on how many threads run, so
-means, standard errors and CSVs are bit-identical for any thread count.
+The chunks are split round-robin over the decoder's thread pool, and
+their sums are added in chunk order once all have finished.  A chunk's
+values do not depend on how many threads run, so means, standard errors
+and CSVs are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .decoder import _CodeKernel, _run_split, _task_threads
+from .decoder import _CodeKernel, _lse, _run_split, _task_threads
 from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
@@ -86,21 +85,19 @@ def _mc_mean(sample_fn, samples: int, seed, entries: int = 0) -> tuple[float, fl
     chunks = -(-samples // CHUNK)
     threads = _task_threads(chunks)
     step = max(1, KERNEL_ENTRIES // max(1, entries * threads))
-    sums = [(0.0, 0.0)] * threads   # (sum, sum of squares) of one wave's chunks
+    sums = [(0.0, 0.0)] * chunks   # (sum, sum of squares) of each chunk
 
     def run(part: range) -> None:
         for c in part:
             rng = np.random.default_rng(_seed_tuple(seed, c))
             vals = sample_fn(rng, min(CHUNK, samples - c * CHUNK), step)
-            sums[c % threads] = float(vals.sum()), float((vals * vals).sum())
+            sums[c] = float(vals.sum()), float((vals * vals).sum())
 
-    acc, acc2 = 0.0, 0.0
-    for first in range(0, chunks, threads):
-        wave = range(first, min(first + threads, chunks))
-        _run_split(run, wave, len(wave))
-        for c in wave:
-            acc += sums[c % threads][0]
-            acc2 += sums[c % threads][1]
+    _run_split(run, range(chunks), threads)
+    acc, acc2 = 0.0, 0.0   # plain addition: builtin sum() compensates from Python 3.12
+    for c_sum, c_sum2 in sums:
+        acc += c_sum
+        acc2 += c_sum2
     mean = acc / samples
     if samples > 1:
         var = max(acc2 - samples * mean * mean, 0.0) / (samples - 1)
@@ -178,10 +175,10 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
             part = slice(lo, lo + step)
             dots_t = np.swapaxes(h[part] @ bits01.T, 1, 2)            # (p, Q, L-1)
             su = np.take_along_axis(dots_t, r_idx[part], axis=1).sum(axis=2)  # (p, n_j)
-            vals[part] = s * (L - 1) * m_a - logsumexp(su, axis=1)
+            vals[part] = s * (L - 1) * m_a - _lse(su)
             if n_j > 1:
                 sp = np.take_along_axis(dots_t, rp_idx[part], axis=1).sum(axis=2)
-                vals[part] += np.logaddexp(0.0, logsumexp(-sp, axis=1))
+                vals[part] += np.logaddexp(0.0, _lse(-sp))
         return vals
 
     return _mc_mean(one_chunk, samples, seed, entries=(L - 1) * q)

@@ -39,10 +39,10 @@ from .codec import (UserCodeSpec, encode_user, make_interleaver, ones_spreading,
 from .decoder import decode_frame, share_cpus
 from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
-MAX_CHIPS_PER_USER = 1 << 24
-# entries of one user's largest float64 despreader array, its (L*2^s, N)
-# block or its (L*2^s, L*s) dense map, and of one EXIT chunk's largest
-# draw: 2^24 is 128 MiB
+# entries of one float64 array: a frame's (K, T) chip arrays, its
+# (iterations, K) trace, one user's largest despreader array, its
+# (L*2^s, N) block or its (L*2^s, L*s) dense map, and one EXIT chunk's
+# largest draw: 2^24 is 128 MiB
 MAX_DESPREAD_ENTRIES = 1 << 24
 
 
@@ -81,11 +81,13 @@ class RunConfig:
             problems.append("mapper must be 'natural' or 'random'")
         if self.sv not in ("random", "all-ones"):
             problems.append("sv must be 'random' or 'all-ones'")
-        if self.s * self.n * self.l > MAX_CHIPS_PER_USER:
-            problems.append(
-                f"s*n*l = {self.s * self.n * self.l} exceeds the per-user "
-                f"chip budget {MAX_CHIPS_PER_USER}"
-            )
+        chips = self.k * self.s * self.n * self.l
+        if chips > MAX_DESPREAD_ENTRIES:
+            problems.append(f"k*s*n*l = {chips} exceeds the frame chip budget "
+                            f"{MAX_DESPREAD_ENTRIES} (float64 entries per (K, T) array)")
+        if self.iterations * self.k > MAX_DESPREAD_ENTRIES:
+            problems.append(f"iterations*k = {self.iterations * self.k} exceeds the "
+                            f"trace budget {MAX_DESPREAD_ENTRIES} (float64 entries)")
         entries = (max(self.n, self.l * self.s) * self.l * 2 ** self.s
                    if 1 <= self.s <= MAX_DEGREE else 0)
         if entries > MAX_DESPREAD_ENTRIES:

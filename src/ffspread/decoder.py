@@ -256,10 +256,10 @@ def share_cpus(processes: int) -> None:
 def _pin_blas() -> bool:
     """Set every OpenBLAS library this process maps to one thread, once.
 
-    Returns whether one was found.  numpy and scipy each load their own
-    copy, so all are pinned.  The setting is process-wide and never
-    changed back; it serves threaded frames and threaded EXIT sampling
-    alike.
+    Returns whether one was found.  ffspread maps only numpy's copy, but
+    a caller that imports scipy adds scipy's own, so every copy mapped is
+    pinned.  The setting is process-wide and never changed back; it serves
+    threaded frames and threaded EXIT sampling alike.
     """
     global _blas_pinned
     if _blas_pinned is None:

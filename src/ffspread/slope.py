@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, erfc, sqrt
 
 import numpy as np
-from scipy.special import erfc
 
 EXACT_ENUM_BUDGET = 10**7
+_erfc = np.vectorize(erfc, otypes=[np.float64])   # Eb/N0 lists are short
 
 
 def _weight_cdf_counts(s: int, L: int) -> list[int]:
@@ -147,7 +147,7 @@ def standard_slope(s: int, L: int) -> float:
 
 def _qfunc(x):
     """Gaussian tail probability Q(x), elementwise."""
-    return 0.5 * erfc(x / np.sqrt(2.0))
+    return 0.5 * _erfc(x * sqrt(0.5))
 
 
 def predict_ber(s: int, L: int, eb_n0_linear) -> tuple[np.ndarray, np.ndarray]:

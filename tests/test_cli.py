@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ffspread.cli import (MAX_CHIPS_PER_USER, BerRecord, ConfigError, FitError,
+from ffspread.cli import (MAX_DESPREAD_ENTRIES, BerRecord, ConfigError, FitError,
                           RunConfig, build_user_specs, fit_slope,
                           load_config_file, main, read_ber_csv, resolve_config,
                           run_ber_sweep, write_ber_csv)
@@ -38,9 +38,9 @@ class TestConfig:
             cfg.validate()
 
     def test_despreader_memory_budget(self):
-        # inside the chip budget, but one (N, L*2^s) float64 block is ~26 GB
-        cfg = RunConfig(s=12, n=100_000, l=8)
-        assert cfg.s * cfg.n * cfg.l <= MAX_CHIPS_PER_USER
+        # inside the frame chip budget, but one (N, L*2^s) float64 block is ~26 GB
+        cfg = RunConfig(k=1, s=12, n=100_000, l=8)
+        assert cfg.k * cfg.s * cfg.n * cfg.l <= MAX_DESPREAD_ENTRIES
         with pytest.raises(ConfigError, match="despreader budget") as exc:
             cfg.validate()
         assert len(exc.value.problems) == 1
@@ -49,6 +49,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="despreader budget"):
             RunConfig(s=1, n=1, l=4096).validate()
         RunConfig(s=12, n=512, l=8).validate()
+
+    def test_frame_and_trace_budgets(self):
+        # one (K, T) array of 9.6 GB and of 64 GB, and a 64 GB trace
+        with pytest.raises(ConfigError, match="frame chip budget"):
+            RunConfig(k=100_000).validate()
+        with pytest.raises(ConfigError, match="frame chip budget"):
+            RunConfig(k=1000, s=1, l=8, n=10**6).validate()
+        with pytest.raises(ConfigError, match="trace budget") as exc:
+            RunConfig(iterations=10**9).validate()
+        assert len(exc.value.problems) == 1
+        # exactly at the budget: accepted (and never decoded here)
+        RunConfig(k=8, s=1, l=8, n=1 << 18).validate()
+        RunConfig(k=8, iterations=1 << 21).validate()
+        with pytest.raises(ConfigError, match="trace budget"):
+            RunConfig(k=8, iterations=(1 << 21) + 1).validate()
 
     def test_config_file_and_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -247,7 +262,8 @@ class TestMainEntry:
         assert main(["simulate", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("flags", [["--mapper", "weird"], ["--k", "two"],
-                                       ["--noiseless", "maybe"], ["--seed", "-1"]])
+                                       ["--noiseless", "maybe"], ["--seed", "-1"],
+                                       ["--k", "100000"], ["--iterations", "1000000000"]])
     def test_bad_flag_exit_code(self, flags, tmp_path):
         try:
             code = main(["simulate", "--outdir", str(tmp_path), *flags])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ffspread.slope import (EXACT_ENUM_BUDGET, g_closed_form, g_oracle,
+from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, g_closed_form, g_oracle,
                             predict_ber, slope_report, standard_slope,
                             standard_slope_exact)
 
@@ -120,6 +120,10 @@ class TestPredictBer:
         x = np.array([1.0, 4.0, 6.31])
         est, _ = predict_ber(1, 4, x)
         assert np.allclose(est, norm.sf(np.sqrt(2 * x)), rtol=1e-12)
+
+    def test_qfunc_matches_normal_tail(self):
+        x = np.linspace(0.0, 37.0, 20001)
+        assert np.allclose(_qfunc(x), norm.sf(x), rtol=1e-13, atol=0.0)
 
     def test_estimate_below_bound(self):
         rng = np.random.default_rng(0)
