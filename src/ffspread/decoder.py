@@ -44,10 +44,14 @@ persistent thread pool, min(K, usable CPUs / ``share_cpus`` processes)
 threads wide.  The EXIT analysis runs its Monte-Carlo chunks on the same
 pool, by the same rule with chunks for users.  Each task does the serial
 arithmetic on what it owns, so results are bit-identical for any thread
-count.  OpenBLAS threads would compete with these for the cores, so
-before the first threaded frame or EXIT point every OpenBLAS library
-loaded into the process is set to one thread, for the rest of the
-process; where none is found everything runs serially.
+count.  Each frame thread despreads in a workspace allocated once per
+frame, passed to ``despread`` as its optional buffer arguments, and both
+interleaver directions are gathers, through ``chip_slots`` and its
+inverse.  OpenBLAS threads would compete
+with these for the cores, so before the first threaded frame or EXIT
+point every OpenBLAS library loaded into the process is set to one
+thread, for the rest of the process; where none is found everything
+runs serially.
 """
 
 from __future__ import annotations
@@ -172,7 +176,9 @@ class _CodeKernel:
         """Leave-one-out symbol LLRs for every position, via total minus own term."""
         return self._gather(self.total_llrs(lsym), self.ext_cols) - lsym
 
-    def chip_llrs(self, sym_llrs: np.ndarray) -> np.ndarray:
+    def chip_llrs(self, sym_llrs: np.ndarray, out: np.ndarray | None = None,
+                  peak: np.ndarray | None = None,
+                  mass: np.ndarray | None = None) -> np.ndarray | None:
         """(.., Q, M) symbol LLR vectors -> (.., s, M) chip LLRs by marginalization.
 
         Each chip LLR is log(mass of the elements whose bit is +1) minus
@@ -183,21 +189,31 @@ class _CodeKernel:
         finite) is recomputed by masked log-sum-exp, so extreme and +/-inf
         inputs give what log-sum-exp gives.  At s = 1 each class is one
         element and the result is their exact difference.
+
+        With the buffers ``out`` (.., s, M) and, for s > 1, ``peak``
+        (.., 1, M) and ``mass`` (.., 2s, M), nothing is allocated: the shift
+        and ``exp`` run in ``sym_llrs``, which is overwritten, and the
+        result goes to ``out``.  If a class mass is not a positive normal
+        float the call returns None before writing ``out``, and the caller
+        recomputes ``sym_llrs`` and calls again without buffers.
         """
         s = self.s
         if s == 1:
-            return (self.masks[..., :1, :] - self.masks[..., 1:, :]) @ sym_llrs
+            return np.matmul(self.masks[..., :1, :] - self.masks[..., 1:, :], sym_llrs, out=out)
         # non-finite and underflowed vectors are recomputed after the block
         with np.errstate(divide="ignore", invalid="ignore"):
-            e = sym_llrs - np.max(sym_llrs, axis=-2, keepdims=True)
+            shift = np.max(sym_llrs, axis=-2, keepdims=True, out=peak)
+            e = np.subtract(sym_llrs, shift, out=None if out is None else sym_llrs)
             np.exp(e, out=e)
-            mass = self.masks @ e                                     # (.., 2s, M)
+            mass = np.matmul(self.masks, e, out=mass)                 # (.., 2s, M)
             del e
             bad = None
             if not mass.min(initial=np.inf) >= _TINY:
+                if out is not None:  # sym_llrs is spent
+                    return None
                 bad = ~(mass >= _TINY).all(axis=-2)
             np.log(mass, out=mass)
-            out = mass[..., :s, :] - mass[..., s:, :]
+            out = np.subtract(mass[..., :s, :], mass[..., s:, :], out=out)
         if bad is not None:  # masked log-sum-exp of the selected vectors only
             sel = np.nonzero(bad)
             masks = self.masks[sel[0]] if self.masks.ndim == 3 else self.masks
@@ -207,11 +223,23 @@ class _CodeKernel:
                                              - _lse(np.where(plus, -np.inf, xr)))
         return out
 
-    def despread(self, chip_llrs: np.ndarray) -> np.ndarray:
-        """Full FF-DES: prior chip LLRs -> extrinsic chip LLRs, same shape."""
+    def despread(self, chip_llrs: np.ndarray, ext: np.ndarray | None = None,
+                 peak: np.ndarray | None = None, mass: np.ndarray | None = None) -> np.ndarray:
+        """Full FF-DES: prior chip LLRs -> extrinsic chip LLRs, same shape.
+
+        With the buffers ``ext`` (L, Q, N) for the matmul and, for s > 1,
+        ``peak`` and ``mass`` (see ``chip_llrs``), the (L*s, N) input is
+        overwritten with the result and nothing is allocated, except where
+        a class mass underflows: that call is redone without buffers.
+        """
         shape = chip_llrs.shape
-        ext = self._ext_map() @ chip_llrs
-        return self.chip_llrs(ext.reshape(shape[:-2] + (self.L, self.q, shape[-1]))).reshape(shape)
+        if ext is None:
+            ext = self._ext_map() @ chip_llrs
+            return self.chip_llrs(ext.reshape(shape[:-2] + (self.L, self.q, shape[-1]))).reshape(shape)
+        np.matmul(self._ext_map(), chip_llrs, out=ext.reshape(-1, shape[-1]))
+        if self.chip_llrs(ext, chip_llrs.reshape(self.L, self.s, -1), peak, mass) is None:
+            chip_llrs[...] = self.despread(chip_llrs)
+        return chip_llrs
 
     def total_bit_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """Hard-decision input: prior chip LLRs -> (.., s, M) posterior bit LLRs."""
@@ -412,6 +440,16 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     A frame of at least ``THREAD_MIN_CHIPS`` chips runs on threads and
     sets OpenBLAS to one thread for the rest of the process (see the
     module docstring); the outputs are the same for any thread count.
+
+    Each thread decodes its users in a workspace allocated once per frame:
+    the gathered priors (L*s, N), the despread's (L, 2^s, N) matmul output,
+    whose first 2T entries then hold the interleaved extrinsics and the
+    trace's temporary, and for s > 1 the marginalization's max and class
+    masses.  Deinterleaving gathers through ``pos``, the (K, T) int64
+    inverse of ``chip_slots``, and interleaving through ``chip_slots``.
+    Both use ``np.take(..., mode="clip")``: the default "raise" buffers the
+    whole output and costs as much as a scatter, and a permutation is never
+    clipped.  The indices stay int64, which ``take`` uses without a copy.
     """
     y = np.asarray(y, dtype=np.float64)
     K = len(specs)
@@ -434,27 +472,32 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
 
     kernels = [_CodeKernel(sp.sv.field, sp.mapper.signs, sp.sv.elements) for sp in specs]
     slots = [chip_slots(sp) for sp in specs]
-    cols = (specs[0].L * specs[0].s, specs[0].n_symbols)
+    s, L, N = specs[0].s, specs[0].L, specs[0].n_symbols
+    cols = (L * s, N)
+    pos = np.empty((K, T), dtype=np.int64)  # pos[k][slot] = channel position
+    for k in range(K):
+        pos[k][slots[k]] = np.arange(T)
     threads = _frame_threads(K, T)
     la_x = np.zeros((K, T))
     trace = np.zeros((iterations, K))
-    # per thread, one user's deinterleaved priors (an (L*s, N) array, see
-    # chip_slots) and interleaved extrinsics
-    work = np.empty((threads, 2, T))
+    # per thread, see the docstring; g = work[j][1] holds T * 2^s / s >= 2T entries
+    work = [(np.empty(cols), np.empty((L, 2**s, N)))
+            + ((np.empty((L, 1, N)), np.empty((L, 2 * s, N))) if s > 1 else ())
+            for _ in range(threads)]
 
     def update(users: range) -> None:
         """Despread, re-interleave and damp ``users``; writes their rows only."""
-        la_c, extr = work[users.start]
+        x, g, *marg = work[users.start]
+        extr, tmp = g.reshape(-1)[:2 * T].reshape(2, T)
         for k in users:
-            la_c[slots[k]] = ese[k]
-            le = kernels[k].despread(la_c.reshape(cols))
+            np.take(ese[k], pos[k], out=x.reshape(-1), mode="clip")
+            le = kernels[k].despread(x, g, *marg)
             np.clip(le, -LLR_MAX, LLR_MAX, out=le)
-            # "clip" never clips a permutation; unlike "raise" it needs no copy
             np.take(le.reshape(-1), slots[k], out=extr, mode="clip")
             if true_chips is not None:
-                trace[it, k] = float(np.mean(true_chips[k] * extr))
+                trace[it, k] = float(np.mean(np.multiply(true_chips[k], extr, out=tmp)))
             else:
-                trace[it, k] = float(np.mean(np.abs(extr)))
+                trace[it, k] = float(np.mean(np.abs(extr, out=tmp)))
             extr *= 1.0 - DAMPING
             la_x[k] *= DAMPING
             la_x[k] += extr
@@ -464,7 +507,7 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
         _ese_all(y, la_x, params.amplitude, params.n0, threads, out=ese)
         _run_split(update, range(K), threads)
 
-    del work, la_x  # freed before the decision's (K, T) arrays
+    del work, pos, la_x  # freed before the decision's (K, T) arrays
     la_c = np.empty((K, T))  # the last iteration's priors, deinterleaved
     for k in range(K):
         la_c[k][slots[k]] = ese[k]

@@ -20,6 +20,7 @@ Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, erfc, sqrt
 
@@ -49,6 +50,7 @@ def _weight_cdf_counts(s: int, L: int) -> list[int]:
     return counts
 
 
+@cache
 def g_closed_form(s: int, L: int) -> Fraction:
     """Closed-form asymptotic slope g(s, L) as an exact rational.
 
@@ -56,6 +58,8 @@ def g_closed_form(s: int, L: int) -> Fraction:
         sum_{k=1}^{(s-1)(L-1)} (#{weight sum <= k-1})^(2^(s-1))
 
     For s = 1 the sum is empty, giving L - 1; for L = 1 the slope is 0.
+    Memoized: the big-integer powers dominate, and a slope table and its
+    predictions ask for the same (s, L) several times.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")

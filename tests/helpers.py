@@ -111,3 +111,35 @@ def random_despread_instance(rng, s_max=4, L_max=4, scale=3.0):
     sv = random_spreading(field, L, int(rng.integers(2**31)))
     prior = rng.normal(0.0, scale, size=s * L)
     return field, mapper, sv, prior
+
+
+def reference_decode_frame(y, specs, params, iterations, true_chips=None):
+    """The library's frame loop written plainly, serial and allocating.
+
+    Each user is deinterleaved by a scatter, despread into fresh arrays,
+    clipped, re-interleaved by a gather and damped, with the library's
+    own kernels, so ``decode_frame`` must match it bit for bit.
+    """
+    from ffspread.codec import chip_slots
+    from ffspread.decoder import DAMPING, LLR_MAX, DecodeResult, _CodeKernel, _ese_all
+
+    K, T = len(specs), y.size
+    cols = (specs[0].L * specs[0].s, specs[0].n_symbols)
+    kernels = [_CodeKernel(sp.sv.field, sp.mapper.signs, sp.sv.elements) for sp in specs]
+    slots = [chip_slots(sp) for sp in specs]
+    la_x = np.zeros((K, T))
+    la_c = np.empty((K, T))
+    trace = np.zeros((iterations, K))
+    for it in range(iterations):
+        ese = _ese_all(y, la_x, params.amplitude, params.n0)
+        for k in range(K):
+            la_c[k][slots[k]] = ese[k]
+            le = np.clip(kernels[k].despread(la_c[k].reshape(cols)), -LLR_MAX, LLR_MAX)
+            extr = le.reshape(-1)[slots[k]]
+            trace[it, k] = np.mean(np.abs(extr) if true_chips is None else true_chips[k] * extr)
+            la_x[k] = DAMPING * la_x[k] + (1.0 - DAMPING) * extr
+    bit_llrs = np.stack([kern.total_bit_llrs(la_c[k].reshape(cols)).T.reshape(-1)
+                         for k, kern in enumerate(kernels)])
+    return DecodeResult(decisions=np.where(bit_llrs >= 0, 1, -1).astype(np.int8),
+                        bit_llrs=bit_llrs, trace=trace,
+                        chip_priors=la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T))

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (lse, map_decision_oracle, map_despread_oracle,
-                     random_despread_instance, repetition_idma_decoder)
+                     random_despread_instance, reference_decode_frame,
+                     repetition_idma_decoder)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,6 +336,27 @@ class TestKernelLayouts:
                                        mappers[i], field)
             np.testing.assert_allclose(got_ext[i].reshape(-1), want, rtol=0, atol=1e-9)
 
+    def test_despread_in_buffers_allocates_no_arrays(self):
+        # the frame path's call: s=4, L=8, N=3000, workspace given, map built
+        s, L, n = 4, 8, 3000
+        field = build_field(s)
+        kern = _CodeKernel(field, random_mapper(s, 5).signs, random_spreading(field, L, 6).elements)
+        prior = np.random.default_rng(7).normal(0.0, 3.0, size=(L * s, n))
+        want = kern.despread(prior)
+        x = prior.copy()
+        bufs = (np.empty((L, field.q, n)), np.empty((L, 1, n)), np.empty((L, 2 * s, n)))
+        kern.despread(x, *bufs)
+        x[...] = prior
+        tracemalloc.start()
+        try:
+            got = kern.despread(x, *bufs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is x
+        assert np.array_equal(got, want)
+        assert peak < 64 << 10
+
     def test_large_field_build_stays_small(self):
         # s=12, L=8 passes RunConfig.validate(); the build must not copy
         # the 4096 x 4096 product table
@@ -622,3 +644,40 @@ class TestThreads:
         assert decoder._frame_threads(3, decoder.THREAD_MIN_CHIPS) == 3
         monkeypatch.setattr(decoder, "_pin_blas", lambda: False)
         assert decoder._frame_threads(8, decoder.THREAD_MIN_CHIPS) == 1
+
+
+class TestReferenceLoop:
+    """decode_frame equals the plain scatter-and-allocate loop bit for bit."""
+
+    @pytest.mark.parametrize("K,s,L,n,db,underflows", [
+        (3, 1, 4, 200, 4.0, False),
+        (4, 2, 8, 300, 4.0, False),
+        (8, 4, 8, 3000, 7.5, False),   # threaded
+        (2, 4, 8, 200, 20.0, True),
+        (2, 6, 8, 100, 30.0, True),
+    ])
+    def test_matches_reference_loop(self, K, s, L, n, db, underflows, monkeypatch):
+        rng = np.random.default_rng(K * 100 + s)
+        specs = _make_system(rng, K, s, L, n, seed=K * 100 + s)
+        params = ChannelParams(K=K, L=L, eb_n0_db=db)
+        info = rng.integers(0, 2, (K, s * n)) * 2 - 1
+        chips = np.stack([encode_user(info[k], specs[k]) for k in range(K)])
+        y = transmit(chips, params, rng)
+        monkeypatch.setattr(decoder, "_cpu_share", lambda: 2)
+        monkeypatch.setattr(decoder, "_pin_blas", lambda: True)
+        assert (decoder._frame_threads(K, y.size) > 1) == (K * y.size >= decoder.THREAD_MIN_CHIPS)
+        fallbacks = []
+        chip_llrs = _CodeKernel.chip_llrs
+
+        def counted(self, *args):
+            out = chip_llrs(self, *args)
+            fallbacks.append(len(args) > 1 and out is None)
+            return out
+
+        monkeypatch.setattr(_CodeKernel, "chip_llrs", counted)
+        for tc in (None, chips):
+            got = decode_frame(y, specs, params, iterations=10, true_chips=tc)
+            ref = reference_decode_frame(y, specs, params, 10, true_chips=tc)
+            for field in ("decisions", "bit_llrs", "trace", "chip_priors"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), (tc is None, field)
+        assert any(fallbacks) == underflows

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ffspread.cli import write_prediction, write_slope_table
 from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, g_closed_form, g_oracle,
                             predict_ber, slope_report, standard_slope,
                             standard_slope_exact)
@@ -65,6 +66,18 @@ class TestClosedForm:
             g_closed_form(0, 2)
         with pytest.raises(ValueError):
             g_closed_form(2, 0)
+
+    def test_table_and_predictions_compute_each_cell_once(self, tmp_path):
+        # a table row asks for g(s, L) and g(s, L+1), its prediction for g(s, L+1)
+        s_values, l_values = (1, 2, 3), (1, 2, 4, 8)
+        g_closed_form.cache_clear()
+        write_slope_table(tmp_path / "table.csv", s_values, l_values)
+        for s in s_values:
+            for l in l_values:
+                write_prediction(tmp_path / f"prediction_{s}_{l}.csv", s, l, (4.0, 8.0))
+        info = g_closed_form.cache_info()
+        assert info.misses == len({(s, m) for s in s_values for l in l_values for m in (l, l + 1)})
+        assert info.hits > 0
 
 
 class TestOracle:
