@@ -9,8 +9,9 @@ extrinsic mean m_e.
 Three estimators:
 
 * ``exit_ffdes_exact`` runs the production despreading kernel on sampled
-  priors (fresh random mapper, nonzero spreading vector, and chips per
-  sample) and averages c * L_e over one randomly chosen output chip.
+  priors (fresh random mapper, read in chip-pattern coordinates, nonzero
+  spreading vector and chips per sample) and averages c * L_e over one
+  randomly chosen output chip.
 * ``exit_ffdes_approx`` averages the closed sampling form
 
       s(L-1) m_a - log sum_j exp(sum_i r_{j,i} . h_i)
@@ -40,7 +41,7 @@ from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
 # float64 entries of the per-sample arrays that all concurrent sub-batches
-# hold at once, e.g. the (p, Q, L) kernel arrays of each thread's p samples:
+# hold at once, e.g. the (p, L, Q) gathers of each thread's p samples:
 # 2 MiB per array across the threads
 KERNEL_ENTRIES = 1 << 18
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
@@ -107,6 +108,20 @@ def _mc_mean(sample_fn, samples: int, seed, entries: int = 0) -> tuple[float, fl
     return mean, se
 
 
+def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x) -> np.ndarray:
+    """(p, s, 1) total bit LLRs of (p, s, L) chips ``x``; sample b maps chip
+    pattern v to element ``forward[b, v]``, ``pattern[b]`` is the inverse and
+    ``sv[b]`` spreads.  With P the natural-mapper ``kern``'s symbol LLRs, the
+    total in pattern coordinates, t[v] = sum_i P[pattern[forward[v] * s_i], i],
+    is the sample's own total plus a constant, which marginalization cancels."""
+    L = x.shape[-1]
+    off = np.arange(len(x))[:, None] * field.q                                # (p, 1)
+    lsym = np.take(kern.symbol_llrs(x).reshape(-1, L), pattern + off, axis=0)  # (p, Q, L)
+    cols = np.multiply(field.mul_table[sv], L, dtype=np.int64)                # (p, L, Q)
+    cols += (off * L + np.arange(L))[:, :, None]
+    return kern.chip_llrs(np.take(np.take(lsym, cols).sum(axis=1), forward + off)[..., None])
+
+
 def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
                      seed=0) -> tuple[float, float]:
     """Despreader transfer point by sampling the production kernel.
@@ -117,7 +132,7 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     decision path: position l's extrinsic symbol LLR, sum_{i != l}
     lsym[lam * s_i / s_l, i], is the total after relabeling s_i -> s_i / s_l
     (so s_l -> 1) with position l's prior chips, hence lsym[., l], zeroed.
-    Kernels run in sub-batches of a chunk's draws, which bounds memory.
+    One kernel reads all samples (``_pattern_bit_llrs``) in sub-batches, bounding memory.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -125,12 +140,13 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     q = field.q
     basis = _sign_basis(s)
     sigma = np.sqrt(2.0 * m_a)
+    kern = _CodeKernel(field, basis, np.ones(L, dtype=np.int64))  # the natural mapper
 
     def one_chunk(rng: np.random.Generator, b: int, step: int) -> np.ndarray:
         forward = rng.permuted(np.tile(np.arange(q, dtype=np.int16), (b, 1)), axis=1)
         sv = rng.integers(1, q, size=(b, L))
         beta = rng.integers(0, q, size=b)
-        gamma = field.mul_table[beta[:, None], sv].astype(np.int64)
+        gamma = field.mul_table[beta[:, None], sv]
         h = rng.normal(m_a, sigma, size=(b, L, s))
         li = rng.integers(0, L, size=b)
         ni = rng.integers(0, s, size=b)
@@ -141,11 +157,11 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
         for lo in range(0, b, step):
             part = slice(lo, lo + step)
             rows = np.arange(min(step, b - lo))
-            signs = np.empty((rows.size, q, s), dtype=np.int8)        # (p, Q, s)
-            signs[rows[:, None], forward[part]] = basis               # pattern v -> forward[v]
-            chips = signs[rows[:, None], gamma[part]].astype(np.float64)  # (p, L, s)
-            x = np.ascontiguousarray(np.swapaxes(chips * h[part], 1, 2))  # (p, s, L)
-            ext = _CodeKernel(field, signs, sv[part]).total_bit_llrs(x)  # (p, s, 1)
+            pattern = np.empty_like(forward[part])                    # pattern[forward[v]] = v
+            np.put_along_axis(pattern, forward[part], np.arange(q, dtype=np.int16), axis=1)
+            chips = basis[np.take_along_axis(pattern, gamma[part], axis=1)]  # (p, L, s)
+            x = np.ascontiguousarray(np.swapaxes(chips * h[part], 1, 2))    # (p, s, L)
+            ext = _pattern_bit_llrs(kern, field, forward[part], pattern, sv[part], x)
             vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], 0]
         return vals
 

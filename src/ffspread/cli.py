@@ -36,7 +36,7 @@ from . import analysis, slope
 from .channel import ChannelParams, transmit
 from .codec import (UserCodeSpec, encode_user, make_interleaver, ones_spreading,
                     random_spreading)
-from .decoder import decode_frame, share_cpus
+from .decoder import _TINY, decode_frame, share_cpus
 from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
 # entries of one float64 array: a frame's (K, T) chip arrays, its
@@ -44,6 +44,7 @@ from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 # (L*2^s, N) block or its (L*2^s, L*s) dense map, and one EXIT chunk's
 # largest draw: 2^24 is 128 MiB
 MAX_DESPREAD_ENTRIES = 1 << 24
+BER_COLUMNS = ("eb_n0_db", "frames", "bits", "errors", "ber")
 
 
 class ConfigError(Exception):
@@ -122,10 +123,12 @@ def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = 
         if draw > MAX_DESPREAD_ENTRIES:
             found.append(f"one EXIT chunk draws {draw} entries, above the budget "
                          f"{MAX_DESPREAD_ENTRIES}")
-    if eb_n0_db is not None and np.size(eb_n0_db) == 0:
-        found.append("eb_n0_db list must be non-empty")
-    if eb_n0_db is not None and not np.isfinite(eb_n0_db).all():
-        found.append("eb_n0_db values must be finite")
+    if eb_n0_db is not None:
+        with np.errstate(over="ignore"):  # an overflowed ratio is refused below
+            ratio = 10.0 ** (np.asarray(eb_n0_db, dtype=np.float64) / 10.0)
+        if not (ratio.size and np.all((ratio >= _TINY) & (ratio <= 1.0 / _TINY))):  # nan fails
+            found.append("eb_n0_db must be a non-empty list whose Eb/N0 and N0 = 1/(Eb/N0) "
+                         "are positive normal floats (|eb_n0_db| below about 3076)")
     if grid is not None and not (all(grid) and 1 <= min(grid[0])
                                  and max(grid[0]) <= MAX_DEGREE and min(grid[1]) >= 1):
         found.append(f"s_values must lie in [1, {MAX_DEGREE}], l_values be >= 1")
@@ -248,21 +251,20 @@ def write_ber_csv(path, records: list[BerRecord]) -> None:
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["eb_n0_db", "frames", "bits", "errors", "ber"])
+        w.writerow(BER_COLUMNS)
         for r in records:
             w.writerow([repr(r.eb_n0_db), r.frames, r.bits, r.errors, repr(r.ber)])
 
 
 def read_ber_csv(path) -> list[BerRecord]:
-    records = []
+    """Records of a ``write_ber_csv`` file; a file without its columns is a ``ConfigError``."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(BerRecord(
-                eb_n0_db=float(row["eb_n0_db"]), frames=int(row["frames"]),
-                bits=int(row["bits"]), errors=int(row["errors"]),
-                ber=float(row["ber"]), wall_time=0.0,
-            ))
-    return records
+        reader = csv.DictReader(fh)
+        missing = [c for c in BER_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError([f"{path} is not a BER CSV: missing columns {', '.join(missing)}"])
+        return [BerRecord(float(row["eb_n0_db"]), int(row["frames"]), int(row["bits"]),
+                          int(row["errors"]), float(row["ber"]), wall_time=0.0) for row in reader]
 
 
 def fit_slope(records: list[BerRecord], window=(1e-4, 1e-2)) -> float:

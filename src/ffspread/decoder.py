@@ -26,8 +26,8 @@ bit LLRs, the final decision); ``ffdes_block`` is the public wrapper of
 ``despread``.  Arrays are Q-major: each user's chip LLRs are an (L*s, N)
 array, one column per symbol group, laid out by ``codec.chip_slots``.
 The first two steps are linear: one matmul with a dense (L*2^s, L*s) map
-per user.  Per-sample mappers (the EXIT analysis) use the decision path
-alone, by gathers.
+per user.  The EXIT analysis reads its per-sample mappers through one
+kernel, in chip-pattern coordinates (``analysis._pattern_bit_llrs``).
 Marginalization is one exponential per max-shifted symbol vector and one
 matmul with the bit-class indicators, falling back to log-sum-exp where a
 class mass underflows (possible on the unclamped analysis path).
@@ -94,45 +94,33 @@ def _lse(x: np.ndarray) -> np.ndarray:
 class _CodeKernel:
     """Precomputed tables for one (field, mapper, spreading) triple.
 
-    Array contract.  ``chip_llrs`` marginalizes symbol LLR vectors
-    (.., Q, M) to chip LLRs (.., s, M): the max is over axis -2 and the
-    (2s, Q) bit-class masks multiply from the left.
-
-    A shared kernel (``signs`` (Q, s), ``sv_elements`` (L,)) serves one
-    user of a frame.  ``despread`` maps (.., L*s, N) chip LLR columns,
-    row i*s + m holding bit m of position i, to the same shape, and
-    ``total_bit_llrs`` maps them to (.., s, N); each is one matmul with
-    a dense map built on first use, (L*Q, L*s) or (Q, L*s), followed by
-    marginalization.
-
-    A per-sample kernel (``signs`` (b, Q, s), ``sv_elements`` (b, L), the
-    EXIT path) has one entry point, ``total_bit_llrs``: it maps (b, s, L)
-    chips to (b, s, 1) by gathers, ``symbol_llrs`` giving (b, Q, L) and
-    ``total_llrs`` (b, Q, 1).  The gathers, and ``extrinsic_symbol_llrs``,
-    also run on a shared kernel, for (.., s, L) chips.
+    Array contract.  ``signs`` is (Q, s) and ``sv_elements`` (L,).
+    ``chip_llrs`` marginalizes symbol LLR vectors (.., Q, M) to chip LLRs
+    (.., s, M): the max is over axis -2 and the (2s, Q) bit-class masks
+    multiply from the left.  ``despread`` maps (.., L*s, N) chip LLR
+    columns, row i*s + m holding bit m of position i, to the same shape,
+    and ``total_bit_llrs`` maps them to (.., s, N); each is one matmul
+    with a dense map built on first use, (L*Q, L*s) or (Q, L*s), by the
+    gathers ``symbol_llrs`` ((.., s, L) chips to (.., Q, L)),
+    ``total_llrs`` and ``extrinsic_symbol_llrs``, then marginalization.
     """
 
     def __init__(self, field: FieldSpec, signs: np.ndarray, sv_elements: np.ndarray):
         self.q = field.q
-        self.s = int(signs.shape[-1])
-        self.L = int(sv_elements.shape[-1])
-        self.batched = np.ndim(sv_elements) == 2
-        # (.., Q, s) matrix turning s chip LLRs into the 2^s symbol LLR vector
-        self.w = (signs - signs[..., :1, :]) * 0.5
-        # (.., 2s, Q) bit-class indicators: rows m < s hold the elements
-        # whose bit m is +1, rows s + m those whose bit m is -1
-        plus = np.swapaxes(signs, -1, -2) > 0
-        self.masks = np.concatenate([plus, ~plus], axis=-2).astype(np.float64)
-        # Flat indices into a group's (Q, L) symbol block, plus each sample's
-        # offset, and (shared kernels) into its (Q, 1) total: tot_cols[i, lam]
-        # picks lsym[lam*s_i, i], ext_cols[lam, l] picks ltot[lam*inv(s_l)].
+        self.s = signs.shape[1]
+        self.L = len(sv_elements)
+        # (Q, s) matrix turning s chip LLRs into the 2^s symbol LLR vector
+        self.w = (signs - signs[:1]) * 0.5
+        # (2s, Q) bit-class indicators: rows m < s hold the elements whose
+        # bit m is +1, rows s + m those whose bit m is -1
+        self.plus = signs.T > 0
+        self.masks = np.concatenate([self.plus, ~self.plus]).astype(np.float64)
+        # Flat indices into a group's (Q, L) symbol block and into its (Q, 1) total:
+        # tot_cols[i, lam] picks lsym[lam*s_i, i], ext_cols[lam, l] picks ltot[lam*inv(s_l)].
         # The product table is symmetric: row e holds lam*e for every lam.
-        first = np.arange(len(sv_elements))[:, None, None] if self.batched else 0
         mt = field.mul_table
-        self.tot_cols = mt[sv_elements].astype(np.int64) * self.L     # (.., L, Q)
-        self.tot_cols += np.arange(self.L)[:, None] + first * (self.q * self.L)
-        if not self.batched:
-            self.ext_cols = mt[field.inv_table[sv_elements]].T.astype(np.int64)
+        self.tot_cols = mt[sv_elements].astype(np.int64) * self.L + np.arange(self.L)[:, None]
+        self.ext_cols = mt[field.inv_table[sv_elements]].T.astype(np.int64)
         self._m_ext = self._m_tot = None
 
     def _unit_symbol_llrs(self) -> np.ndarray:
@@ -160,8 +148,6 @@ class _CodeKernel:
 
     def _gather(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries ``cols`` of each group's flattened trailing block of ``x``."""
-        if self.batched:  # the per-sample tables index the whole array
-            return np.take(x, cols)
         return np.take(x.reshape(x.shape[:-2] + (-1,)), cols, axis=-1)
 
     def symbol_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
@@ -199,7 +185,7 @@ class _CodeKernel:
         """
         s = self.s
         if s == 1:
-            return np.matmul(self.masks[..., :1, :] - self.masks[..., 1:, :], sym_llrs, out=out)
+            return np.matmul(self.masks[:1] - self.masks[1:], sym_llrs, out=out)
         # non-finite and underflowed vectors are recomputed after the block
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.max(sym_llrs, axis=-2, keepdims=True, out=peak)
@@ -216,11 +202,9 @@ class _CodeKernel:
             out = np.subtract(mass[..., :s, :], mass[..., s:, :], out=out)
         if bad is not None:  # masked log-sum-exp of the selected vectors only
             sel = np.nonzero(bad)
-            masks = self.masks[sel[0]] if self.masks.ndim == 3 else self.masks
-            plus = masks[..., :s, :] > 0                              # (.., s, Q)
             xr = np.moveaxis(sym_llrs, -2, -1)[sel][:, None, :]       # (r, 1, Q)
-            np.moveaxis(out, -2, -1)[sel] = (_lse(np.where(plus, xr, -np.inf))
-                                             - _lse(np.where(plus, -np.inf, xr)))
+            np.moveaxis(out, -2, -1)[sel] = (_lse(np.where(self.plus, xr, -np.inf))
+                                             - _lse(np.where(self.plus, -np.inf, xr)))
         return out
 
     def despread(self, chip_llrs: np.ndarray, ext: np.ndarray | None = None,
@@ -243,8 +227,6 @@ class _CodeKernel:
 
     def total_bit_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """Hard-decision input: prior chip LLRs -> (.., s, M) posterior bit LLRs."""
-        if self.batched:
-            return self.chip_llrs(self.total_llrs(self.symbol_llrs(chip_llrs)))
         return self.chip_llrs(self._tot_map() @ chip_llrs)
 
 

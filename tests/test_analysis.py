@@ -58,8 +58,19 @@ class TestFfdesExact:
 
     def test_sub_batches_leave_the_result_unchanged(self, monkeypatch):
         whole = exit_ffdes_exact(2.0, 3, 4, samples=700, seed=5)
-        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)  # 3 samples per kernel
+        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)  # 3 samples per sub-batch
         assert exit_ffdes_exact(2.0, 3, 4, samples=700, seed=5) == whole
+
+    def test_one_kernel_per_point(self, monkeypatch):
+        builds = []
+        init = decoder._CodeKernel.__init__
+
+        def counted(self, *args):
+            builds.append(None)
+            init(self, *args)
+        monkeypatch.setattr(decoder._CodeKernel, "__init__", counted)
+        exit_ffdes_exact(2.0, 3, 4, samples=3 * analysis.CHUNK, seed=1)
+        assert len(builds) == 1
 
     def test_large_field_point_memory_is_bounded(self):
         # one 4096-sample chunk at s=7 peaked at 265 MiB with a single kernel

@@ -65,6 +65,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="trace budget"):
             RunConfig(k=8, iterations=(1 << 21) + 1).validate()
 
+    def test_eb_n0_extremes(self):
+        # Eb/N0 = 1e+/-300 and N0 = 1e-/+300 are normal floats; 10^-310 is not
+        RunConfig(eb_n0_db=(-3000.0, 3000.0)).validate()
+        for db in (-3100.0, 3100.0):
+            with pytest.raises(ConfigError, match="positive normal"):
+                RunConfig(eb_n0_db=(6.0, db)).validate()
+
     def test_config_file_and_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -263,7 +270,10 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flags", [["--mapper", "weird"], ["--k", "two"],
                                        ["--noiseless", "maybe"], ["--seed", "-1"],
-                                       ["--k", "100000"], ["--iterations", "1000000000"]])
+                                       ["--k", "100000"], ["--iterations", "1000000000"],
+                                       # Eb/N0 or N0 not a positive normal float
+                                       ["--eb_n0_db", "4000"], ["--eb_n0_db", "-4000"],
+                                       ["--eb_n0_db", "-3100"]])
     def test_bad_flag_exit_code(self, flags, tmp_path):
         try:
             code = main(["simulate", "--outdir", str(tmp_path), *flags])
@@ -298,7 +308,9 @@ class TestMainEntry:
                                        # one chunk's approx indices, ESE priors
                                        # and exact priors above 2^24 entries
                                        ["--s", "12", "--l", "8"], ["--k", "1000000"],
-                                       ["--k", "4098"], ["--s", "1", "--l", "4097"]])
+                                       ["--k", "4098"], ["--s", "1", "--l", "4097"],
+                                       ["--eb_n0_db", "4000"], ["--eb_n0_db", "-4000"],
+                                       ["--eb_n0_db", "-3100"]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2
@@ -339,7 +351,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flags", [["--s", "0"], ["--s", "13"], ["--l", "0"],
                                        ["--eb_n0_db", "nan"], ["--eb_n0_db", "6,inf"],
-                                       ["--eb_n0_db", ""]])
+                                       ["--eb_n0_db", ""], ["--eb_n0_db", "6,4000"],
+                                       ["--eb_n0_db", "-4000"], ["--eb_n0_db", "-3100"]])
     def test_predict_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "pred.csv"
         assert main(["predict", "--s", "2", "--l", "8", *flags, "--out", str(out)]) == 2
@@ -356,6 +369,14 @@ class TestMainEntry:
         assert main(["fit", "--input", str(path), "--window", *window]) == 2
         assert main(["fit", "--input", str(path), "--window", "1e-4", "1e-2"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ber.csv"]
+
+    def test_fit_refuses_a_csv_without_ber_columns(self, tmp_path, capsys):
+        assert main(["exit", "--s", "1", "--l", "2", "--k", "2", "--samples", "64",
+                     "--outdir", str(tmp_path)]) == 0
+        path = tmp_path / "exit_s1_L2.csv"
+        assert main(["fit", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not a BER CSV: missing columns eb_n0_db, frames" in err
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["exit", "--s", "1", "--l", "2", "--k", "2", "--samples", "256",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffspread import decoder
+from ffspread.analysis import _pattern_bit_llrs
 from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
@@ -27,6 +28,15 @@ def gf4():
 def _kernel(mapper, sv_elements=(1,)):
     """Kernel for one mapper; the default spreading is the single element 1."""
     return _CodeKernel(build_field(mapper.s), mapper.signs, np.asarray(sv_elements))
+
+
+def _read_in_pattern_coordinates(field, mappers, sv, chips):
+    """(b, s, 1) total bit LLRs of (b, s, L) ``chips``, one mapper and one row
+    of ``sv`` per sample, read as the EXIT sampler reads them."""
+    forward = np.stack([m.forward for m in mappers])
+    natural = _CodeKernel(field, natural_mapper(field.s).signs, np.ones(sv.shape[1], dtype=int))
+    return _pattern_bit_llrs(natural, field, forward, np.argsort(forward, axis=1),
+                             sv, chips)
 
 
 def _ese_user0(y_t, priors, params):
@@ -121,16 +131,11 @@ class TestSymbolToChip:
 
 
 def _per_bit_reference(x, signs):
-    """Chip LLRs by one log-sum-exp per bit class, row by row.
-
-    ``signs`` is (Q, s) for every row, or (b, Q, s) with one mapper per
-    leading index of ``x``.
-    """
+    """Chip LLRs by one log-sum-exp per bit class, row by row; ``signs`` is (Q, s)."""
     out = np.empty(x.shape[:-1] + (signs.shape[-1],))
     for idx in np.ndindex(*x.shape[:-1]):
-        sg = signs[idx[0]] if signs.ndim == 3 else signs
-        for n in range(sg.shape[1]):
-            out[idx + (n,)] = lse(x[idx][sg[:, n] > 0]) - lse(x[idx][sg[:, n] < 0])
+        for n in range(signs.shape[1]):
+            out[idx + (n,)] = lse(x[idx][signs[:, n] > 0]) - lse(x[idx][signs[:, n] < 0])
     return out
 
 
@@ -140,18 +145,19 @@ def _q_major_reference(x, signs):
 
 
 def _marginalization_case(s, layout, rng, scale):
-    """(kernel, symbol LLR vectors (.., Q, M), signs) for one kernel layout."""
+    """(kernel, symbol LLR vectors (.., Q, M), signs) for one layout: a frame
+    user's (5, Q, L) blocks, or one (Q, 1) total per sample through the
+    natural-mapper kernel, as the EXIT sampler reads them."""
     field = build_field(s)
-    b, L = 4, 3
+    L = 3
     if layout == "per-user":
         signs = random_mapper(s, (s, 1)).signs
-        sv = random_spreading(field, L, (s, 2)).elements
         x = rng.normal(0.0, scale, size=(5, L, field.q))
-    else:  # one mapper and spreading vector per sample, as in the EXIT path
-        signs = np.stack([random_mapper(s, (s, i)).signs for i in range(b)])
-        sv = rng.integers(1, field.q, size=(b, L))
-        x = rng.normal(0.0, scale, size=(b, L, field.q))
-    return _CodeKernel(field, signs, sv), np.swapaxes(x, -1, -2), signs
+    else:
+        signs = natural_mapper(s).signs
+        x = rng.normal(0.0, scale, size=(8, 1, field.q))
+    kern = _CodeKernel(field, signs, random_spreading(field, L, (s, 2)).elements)
+    return kern, np.swapaxes(x, -1, -2), signs
 
 
 class TestChipLlrsKernel:
@@ -165,7 +171,7 @@ class TestChipLlrsKernel:
         np.testing.assert_allclose(kern.chip_llrs(x), _q_major_reference(x, signs),
                                    rtol=1e-12, atol=1e-12)
         # total-LLR shapes: (Q, N) on the frame path, (b, Q, 1) per sample
-        tot = x[0] if layout == "per-user" else x[..., :1]
+        tot = x[0] if layout == "per-user" else x
         np.testing.assert_allclose(kern.chip_llrs(tot),
                                    _q_major_reference(tot, signs),
                                    rtol=1e-12, atol=1e-12)
@@ -270,8 +276,8 @@ class TestDenseMapDespread:
 
 
 class TestFiniteOutputs:
-    """``despread`` and ``total_bit_llrs`` stay finite on both kernels for
-    finite inputs up to +/-1e4 in size.
+    """``despread``, ``total_bit_llrs`` and the EXIT sampler's read in
+    pattern coordinates stay finite for finite inputs up to +/-1e4 in size.
 
     +/-inf input is not supported: the maps' exact zeros give inf * 0 = NaN.
     ``decode_frame`` clips every chip LLR to +/-LLR_MAX before a kernel
@@ -294,12 +300,11 @@ class TestFiniteOutputs:
         field = build_field(s)
         shared = _CodeKernel(field, random_mapper(s, seed).signs,
                              rng.integers(1, field.q, size=L))
-        per = _CodeKernel(field, np.stack([random_mapper(s, (seed, i)).signs for i in range(n)]),
-                          rng.integers(1, field.q, size=(n, L)))
         cols = self._extreme(rng, (L * s, n))                         # n symbol groups
         samples = self._extreme(rng, (n, s, L))                       # n samples
-        for out in (shared.despread(cols), shared.total_bit_llrs(cols),
-                    per.total_bit_llrs(samples)):
+        read = _read_in_pattern_coordinates(field, [random_mapper(s, (seed, i)) for i in range(n)],
+                                            rng.integers(1, field.q, size=(n, L)), samples)
+        for out in (shared.despread(cols), shared.total_bit_llrs(cols), read):
             assert np.all(np.isfinite(out))
 
 
@@ -307,26 +312,30 @@ class TestKernelLayouts:
     @pytest.mark.parametrize("L", (1, 3, 8))
     @pytest.mark.parametrize("s", range(1, 5))
     def test_per_sample_matches_shared_kernels(self, s, L):
-        # the EXIT path's per-sample kernel against the frame path's shared
-        # one: its totals, and position l's extrinsic as the total of the
-        # symbol relabeled by inv(s_l) with position l's prior zeroed
+        # per-sample mappers read in pattern coordinates, as the EXIT sampler
+        # reads them, against each sample's own kernel: its totals, and
+        # position l's extrinsic as the total of the symbol relabeled by
+        # inv(s_l) with position l's prior zeroed.  The last sample's priors
+        # agree with one symbol at +/-1000, so every class without it underflows.
         rng = np.random.default_rng(70 + 10 * s + L)
         field = build_field(s)
         b = 6
         mappers = [random_mapper(s, (s, L, i)) for i in range(b)]
-        signs = np.stack([m.signs for m in mappers])
         sv = rng.integers(1, field.q, size=(b, L))
         x = rng.normal(0.0, 3.0, size=(b, L, s))
+        x[-1] += 1000.0 * mappers[-1].signs[field.mul_table[rng.integers(field.q), sv[-1]]]
         chips = np.swapaxes(x, 1, 2)                                  # (b, s, L)
-        got_tot = _CodeKernel(field, signs, sv).total_bit_llrs(chips)  # (b, s, 1)
+        got_tot = _read_in_pattern_coordinates(field, mappers, sv, chips)  # (b, s, 1)
+        assert np.abs(got_tot[-1]).min() > 800.0  # exp(-800) underflows to 0
         got_ext = np.empty((b, L, s))
         for ell in range(L):
             zeroed = chips.copy()
             zeroed[:, :, ell] = 0.0
             relabeled = field.mul_table[sv, field.inv_table[sv[:, ell]][:, None]]
-            got_ext[:, ell] = _CodeKernel(field, signs, relabeled).total_bit_llrs(zeroed)[..., 0]
+            got_ext[:, ell] = _read_in_pattern_coordinates(field, mappers, relabeled,
+                                                           zeroed)[..., 0]
         for i in range(b):
-            shared = _CodeKernel(field, signs[i], sv[i])
+            shared = _CodeKernel(field, mappers[i].signs, sv[i])
             col = x[i].reshape(-1, 1)                                 # (L*s, 1)
             np.testing.assert_allclose(got_tot[i], shared.total_bit_llrs(col),
                                        rtol=1e-12, atol=1e-12)
