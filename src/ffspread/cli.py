@@ -106,7 +106,7 @@ def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = 
                  grid: tuple | None = None, window: tuple | None = None) -> None:
     """Refuse out-of-range arguments before anything is written: ``positive``
     integers by name, a field degree ``s``, an ``eb_n0_db`` scalar or list, a
-    ``seed``, an EXIT ``chart`` (s, l, k), a slope ``grid`` (s_values,
+    ``seed``, an EXIT ``chart`` (s, l, k, samples), a slope ``grid`` (s_values,
     l_values) and a BER ``window`` (lo, hi).  One ``ConfigError`` lists these
     problems, then the caller's ``problems``."""
     found = [f"{name} must be a positive integer"
@@ -116,7 +116,7 @@ def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = 
     if seed is not None and seed < 0:
         found.append("seed must be >= 0")
     if chart is not None and 1 <= chart[0] <= MAX_DEGREE:
-        c_s, c_l, c_k = chart
+        c_s, c_l, c_k, _ = chart
         # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) indices, exact's
         # (CHUNK, l, s) priors and the signal estimator's (CHUNK, k-1) priors
         draw = analysis.CHUNK * max(2 ** (c_s - 1) * (c_l - 1), c_s * c_l, c_k - 1)
@@ -129,6 +129,12 @@ def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = 
         if not (ratio.size and np.all((ratio >= _TINY) & (ratio <= 1.0 / _TINY))):  # nan fails
             found.append("eb_n0_db must be a non-empty list whose Eb/N0 and N0 = 1/(Eb/N0) "
                          "are positive normal floats (|eb_n0_db| below about 3076)")
+        elif chart is not None and min(chart[1], chart[3]) >= 1:
+            with np.errstate(over="ignore"):  # ESE values reach 4 Eb/N0 / l, at k = 1
+                squares = chart[3] * (4.0 * ratio / chart[1]) ** 2
+            if not np.all(np.isfinite(squares)):
+                found.append("samples * (4 Eb/N0 / l)^2, the ESE's largest sum of squares, "
+                             "must be a finite float64")
     if grid is not None and not (all(grid) and 1 <= min(grid[0])
                                  and max(grid[0]) <= MAX_DEGREE and min(grid[1]) >= 1):
         found.append(f"s_values must lie in [1, {MAX_DEGREE}], l_values be >= 1")
@@ -449,7 +455,7 @@ def _cmd_exit(args) -> int:
     import pathlib
     _check_ranges(positive={"l": args.l, "k": args.k, "samples": args.samples},
                  s=args.s, eb_n0_db=args.eb_n0_db, seed=args.seed,
-                 chart=(args.s, args.l, args.k))
+                 chart=(args.s, args.l, args.k, args.samples))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"exit_s{args.s}_L{args.l}.csv"

@@ -56,7 +56,11 @@ class Interleaver:
     seed: int | None = None
 
     def __post_init__(self):
-        self.perm.setflags(write=False)
+        perm, n = self.perm, self.perm.size
+        if not (perm.ndim == 1 and np.issubdtype(perm.dtype, np.signedinteger) and (n == 0 or (
+                0 <= perm.min() and perm.max() < n and np.bincount(perm).max() == 1))):
+            raise ValueError("interleaver perm must be a 1-D integer permutation of range(n)")
+        perm.setflags(write=False)
 
     @property
     def length(self) -> int:

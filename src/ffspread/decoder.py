@@ -25,12 +25,13 @@ LLRs, each iteration) and ``total_bit_llrs`` (prior chip LLRs -> posterior
 bit LLRs, the final decision); ``ffdes_block`` is the public wrapper of
 ``despread``.  Arrays are Q-major: each user's chip LLRs are an (L*s, N)
 array, one column per symbol group, laid out by ``codec.chip_slots``.
-The first two steps are linear: one matmul with a dense (L*2^s, L*s) map
-per user.  The EXIT analysis reads its per-sample mappers through one
-kernel, in chip-pattern coordinates (``analysis._pattern_bit_llrs``).
-Marginalization is one exponential per max-shifted symbol vector and one
-matmul with the bit-class indicators, falling back to log-sum-exp where a
-class mass underflows (possible on the unclamped analysis path).
+The first two steps are linear: one matmul per user with a dense
+(L*2^s, L*s) map read off the field tables.  The EXIT analysis reads its
+per-sample mappers through one kernel, in chip-pattern coordinates
+(``analysis._pattern_bit_llrs``).  Marginalization is one exponential per
+max-shifted symbol vector and one matmul with the bit-class indicators;
+where a class mass underflows, it falls back to log-sum-exp on the
+allocating path only (a frame's despread, in buffers, relies on its clip).
 
 A flooding schedule updates all users in parallel each iteration, so
 results do not depend on user ordering.  ``decode_frame`` clamps LLRs to
@@ -57,6 +58,7 @@ runs serially.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -95,17 +97,20 @@ class _CodeKernel:
     """Precomputed tables for one (field, mapper, spreading) triple.
 
     Array contract.  ``signs`` is (Q, s) and ``sv_elements`` (L,).
+    ``symbol_llrs`` maps (.., s, L) chips to (.., Q, L) symbol LLR vectors.
     ``chip_llrs`` marginalizes symbol LLR vectors (.., Q, M) to chip LLRs
     (.., s, M): the max is over axis -2 and the (2s, Q) bit-class masks
     multiply from the left.  ``despread`` maps (.., L*s, N) chip LLR
     columns, row i*s + m holding bit m of position i, to the same shape,
-    and ``total_bit_llrs`` maps them to (.., s, N); each is one matmul
-    with a dense map built on first use, (L*Q, L*s) or (Q, L*s), by the
-    gathers ``symbol_llrs`` ((.., s, L) chips to (.., Q, L)),
-    ``total_llrs`` and ``extrinsic_symbol_llrs``, then marginalization.
+    and ``total_bit_llrs`` maps them to (.., s, N): each is one matmul,
+    ``extrinsic_symbol_llrs`` with ``ext_map`` or ``total_llrs`` with
+    ``tot_map``, then marginalization.  Both maps are read off the field's
+    product and inverse tables on first use.
     """
 
     def __init__(self, field: FieldSpec, signs: np.ndarray, sv_elements: np.ndarray):
+        self.field = field
+        self.sv = np.asarray(sv_elements)
         self.q = field.q
         self.s = signs.shape[1]
         self.L = len(sv_elements)
@@ -115,56 +120,42 @@ class _CodeKernel:
         # bit m is +1, rows s + m those whose bit m is -1
         self.plus = signs.T > 0
         self.masks = np.concatenate([self.plus, ~self.plus]).astype(np.float64)
-        # Flat indices into a group's (Q, L) symbol block and into its (Q, 1) total:
-        # tot_cols[i, lam] picks lsym[lam*s_i, i], ext_cols[lam, l] picks ltot[lam*inv(s_l)].
-        # The product table is symmetric: row e holds lam*e for every lam.
-        mt = field.mul_table
-        self.tot_cols = mt[sv_elements].astype(np.int64) * self.L + np.arange(self.L)[:, None]
-        self.ext_cols = mt[field.inv_table[sv_elements]].T.astype(np.int64)
-        self._m_ext = self._m_tot = None
 
-    def _unit_symbol_llrs(self) -> np.ndarray:
-        """(L*s, Q, L) symbol LLRs of the L*s unit chip vectors, one per group."""
-        unit = np.eye(self.L * self.s).reshape(-1, self.L, self.s)
-        return self.symbol_llrs(np.swapaxes(unit, -1, -2))
-
-    def _ext_map(self) -> np.ndarray:
+    @functools.cached_property
+    def ext_map(self) -> np.ndarray:
         """(L*Q, L*s) map from a group's chip LLRs to its extrinsic symbol LLRs.
 
-        Row (l, lam), column (i, m) holds ``w[lam * inv(s_l) * s_i, m]``:
-        each gathered sum has one nonzero term, so the entries are exact,
+        Row (l, lam), column (i, m) holds ``w[lam * inv(s_l) * s_i, m]``;
         the own-position blocks i = l are zero, and so is every row lam = 0.
         """
-        if self._m_ext is None:
-            ext = self.extrinsic_symbol_llrs(self._unit_symbol_llrs())  # (L*s, Q, L)
-            self._m_ext = ext.T.reshape(self.L * self.q, self.L * self.s)
-        return self._m_ext
+        mt, own = self.field.mul_table, np.arange(self.L)
+        ext = self.w[mt[:, mt[self.field.inv_table[self.sv][:, None], self.sv]]]  # (Q, l, i, s)
+        ext[:, own, own] = 0.0
+        return np.ascontiguousarray(ext.swapaxes(0, 1)).reshape(self.L * self.q, -1)
 
-    def _tot_map(self) -> np.ndarray:
-        """(Q, L*s) map from a group's chip LLRs to its total symbol LLRs."""
-        if self._m_tot is None:
-            self._m_tot = self.total_llrs(self._unit_symbol_llrs())[..., 0].T.copy()
-        return self._m_tot
-
-    def _gather(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries ``cols`` of each group's flattened trailing block of ``x``."""
-        return np.take(x.reshape(x.shape[:-2] + (-1,)), cols, axis=-1)
+    @functools.cached_property
+    def tot_map(self) -> np.ndarray:
+        """(Q, L*s) map from a group's chip LLRs to its total symbol LLRs:
+        row lam, column (i, m) holds ``w[lam * s_i, m]``."""
+        return np.ascontiguousarray(self.w[self.field.mul_table[:, self.sv]].reshape(self.q, -1))
 
     def symbol_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """(.., s, L) chip LLRs -> (.., Q, L) a-priori symbol LLR vectors."""
         return self.w @ chip_llrs
 
-    def total_llrs(self, lsym: np.ndarray) -> np.ndarray:
-        """All-positions symbol LLR vector (.., Q, 1): ltot[lam] = sum_i lsym[lam*s_i, i]."""
-        return self._gather(lsym, self.tot_cols).sum(axis=-2)[..., None]
+    def extrinsic_symbol_llrs(self, chip_llrs: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+        """(.., L*s, N) chip LLRs -> (.., L*Q, N) leave-one-out symbol LLRs of
+        every position, relabeled by the spreading elements."""
+        return np.matmul(self.ext_map, chip_llrs, out=out)
 
-    def extrinsic_symbol_llrs(self, lsym: np.ndarray) -> np.ndarray:
-        """Leave-one-out symbol LLRs for every position, via total minus own term."""
-        return self._gather(self.total_llrs(lsym), self.ext_cols) - lsym
+    def total_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
+        """(.., L*s, N) chip LLRs -> (.., Q, N) all-positions symbol LLRs."""
+        return self.tot_map @ chip_llrs
 
     def chip_llrs(self, sym_llrs: np.ndarray, out: np.ndarray | None = None,
                   peak: np.ndarray | None = None,
-                  mass: np.ndarray | None = None) -> np.ndarray | None:
+                  mass: np.ndarray | None = None) -> np.ndarray:
         """(.., Q, M) symbol LLR vectors -> (.., s, M) chip LLRs by marginalization.
 
         Each chip LLR is log(mass of the elements whose bit is +1) minus
@@ -178,15 +169,16 @@ class _CodeKernel:
 
         With the buffers ``out`` (.., s, M) and, for s > 1, ``peak``
         (.., 1, M) and ``mass`` (.., 2s, M), nothing is allocated: the shift
-        and ``exp`` run in ``sym_llrs``, which is overwritten, and the
-        result goes to ``out``.  If a class mass is not a positive normal
-        float the call returns None before writing ``out``, and the caller
-        recomputes ``sym_llrs`` and calls again without buffers.
+        and ``exp`` run in the finite ``sym_llrs``, which is overwritten, and
+        the result goes to ``out``, with no recompute.  The class holding a
+        vector's max has mass >= 1, so an underflowed class gives +/-inf or
+        beyond +/-700, which ``decode_frame``'s clip turns into log-sum-exp's
+        clipped value.
         """
         s = self.s
         if s == 1:
             return np.matmul(self.masks[:1] - self.masks[1:], sym_llrs, out=out)
-        # non-finite and underflowed vectors are recomputed after the block
+        # log(0) of an underflowed class; non-finite input (allocating path)
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.max(sym_llrs, axis=-2, keepdims=True, out=peak)
             e = np.subtract(sym_llrs, shift, out=None if out is None else sym_llrs)
@@ -194,9 +186,7 @@ class _CodeKernel:
             mass = np.matmul(self.masks, e, out=mass)                 # (.., 2s, M)
             del e
             bad = None
-            if not mass.min(initial=np.inf) >= _TINY:
-                if out is not None:  # sym_llrs is spent
-                    return None
+            if out is None and not mass.min(initial=np.inf) >= _TINY:
                 bad = ~(mass >= _TINY).all(axis=-2)
             np.log(mass, out=mass)
             out = np.subtract(mass[..., :s, :], mass[..., s:, :], out=out)
@@ -212,22 +202,20 @@ class _CodeKernel:
         """Full FF-DES: prior chip LLRs -> extrinsic chip LLRs, same shape.
 
         With the buffers ``ext`` (L, Q, N) for the matmul and, for s > 1,
-        ``peak`` and ``mass`` (see ``chip_llrs``), the (L*s, N) input is
-        overwritten with the result and nothing is allocated, except where
-        a class mass underflows: that call is redone without buffers.
+        ``peak`` and ``mass`` (see ``chip_llrs``), the finite (L*s, N) input
+        is overwritten with the result and nothing is allocated.
         """
         shape = chip_llrs.shape
         if ext is None:
-            ext = self._ext_map() @ chip_llrs
+            ext = self.extrinsic_symbol_llrs(chip_llrs)
             return self.chip_llrs(ext.reshape(shape[:-2] + (self.L, self.q, shape[-1]))).reshape(shape)
-        np.matmul(self._ext_map(), chip_llrs, out=ext.reshape(-1, shape[-1]))
-        if self.chip_llrs(ext, chip_llrs.reshape(self.L, self.s, -1), peak, mass) is None:
-            chip_llrs[...] = self.despread(chip_llrs)
+        self.extrinsic_symbol_llrs(chip_llrs, out=ext.reshape(-1, shape[-1]))
+        self.chip_llrs(ext, chip_llrs.reshape(self.L, self.s, -1), peak, mass)
         return chip_llrs
 
     def total_bit_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """Hard-decision input: prior chip LLRs -> (.., s, M) posterior bit LLRs."""
-        return self.chip_llrs(self._tot_map() @ chip_llrs)
+        return self.chip_llrs(self.total_llrs(chip_llrs))
 
 
 def ffdes_block(prior_chip_llrs, sv: SpreadingVector, mapper: BitMapper) -> np.ndarray:

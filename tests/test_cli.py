@@ -310,11 +310,23 @@ class TestMainEntry:
                                        ["--s", "12", "--l", "8"], ["--k", "1000000"],
                                        ["--k", "4098"], ["--s", "1", "--l", "4097"],
                                        ["--eb_n0_db", "4000"], ["--eb_n0_db", "-4000"],
-                                       ["--eb_n0_db", "-3100"]])
+                                       ["--eb_n0_db", "-3100"],
+                                       # samples * (4 Eb/N0 / l)^2 overflows
+                                       ["--s", "2", "--l", "2", "--k", "2", "--samples", "64",
+                                        "--eb_n0_db", "1600"]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2
         assert not out.exists()
+
+    def test_exit_standard_errors_stay_finite_at_high_eb_n0(self, tmp_path):
+        # 64 * (4 Eb/N0 / 2)^2 is about 2.6e302 at 1500 dB; the pytest
+        # configuration turns an overflow's RuntimeWarning into a failure
+        assert main(["exit", "--s", "2", "--l", "2", "--k", "2", "--samples", "64",
+                     "--eb_n0_db", "1500", "--outdir", str(tmp_path)]) == 0
+        with open(tmp_path / "exit_s2_L2.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(math.isfinite(float(r["se_ese"])) for r in rows)
 
     def test_exit_accepts_the_largest_chunk(self, tmp_path):
         # 4096 * (k - 1) and 4096 * s * l are 2^24 entries, the budget

@@ -44,6 +44,13 @@ class TestInterleaver:
             perm = make_interleaver(37, seed).perm
             assert sorted(perm.tolist()) == list(range(37))
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1, 2], [1, 2, 3, 4], [0, -1, 1, 2],
+                                      [0.0, 1.0], [[0, 1], [1, 0]]],
+                             ids=["duplicate", "out-of-range", "negative", "float", "2-D"])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(ValueError, match="permutation"):
+            Interleaver(np.array(perm))
+
     def test_permute_identity(self):
         il = Interleaver(np.arange(8))
         v = np.arange(8.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffspread import decoder
-from ffspread.analysis import _pattern_bit_llrs
+from ffspread.analysis import _pattern_bit_llrs, exit_ffdes_exact
 from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
@@ -86,27 +86,28 @@ class TestChipToSymbol:
 
 
 class TestVariableExtrinsic:
+    """``extrinsic_symbol_llrs``: (L*s, N) chip LLRs to (L*Q, N) leave-one-out
+    symbol LLRs, row l*Q + lam holding element lam at position l."""
+
     def test_identity_passthrough(self):
         kern = _kernel(natural_mapper(1), ones_spreading(build_field(1), 2).elements)
-        vecs = np.array([[0.0, 1.0], [0.0, -2.5]]).T
-        out = kern.extrinsic_symbol_llrs(vecs)
-        assert out[:, 0].tolist() == [0.0, -2.5]
+        out = kern.extrinsic_symbol_llrs(np.array([[1.0], [-2.5]]))
+        # each position sees only the other position's chip
+        assert out[:, 0].tolist() == [0.0, -2.5, 0.0, 1.0]
 
     def test_permuted_copy(self, gf4):
         kern = _kernel(natural_mapper(2), [1, 2])
-        rng = np.random.default_rng(1)
-        vecs = rng.normal(size=(2, 4))
-        vecs[:, 0] = 0.0
-        out = kern.extrinsic_symbol_llrs(vecs.T)
-        # single remaining term: input2 at index mul(lam, 2)
-        expect = vecs[1, gf4.mul_table[np.arange(4), 2]]
-        assert np.allclose(out[:, 0], expect)
+        x = np.random.default_rng(1).normal(size=(4, 1))
+        out = kern.extrinsic_symbol_llrs(x)[:4, 0]
+        # single remaining term: position 1's symbol LLRs at index mul(lam, 2)
+        expect = kern.symbol_llrs(x[2:])[gf4.mul_table[np.arange(4), 2], 0]
+        assert np.allclose(out, expect)
 
     def test_sum_of_copies(self, gf4):
         kern = _kernel(natural_mapper(2), ones_spreading(gf4, 3).elements)
-        v = np.array([0.0, 0.5, -1.0, 2.0])
-        out = kern.extrinsic_symbol_llrs(np.tile(v, (3, 1)).T)
-        assert np.allclose(out[:, 1], 2 * v)
+        c = np.array([[0.5], [-1.0]])
+        out = kern.extrinsic_symbol_llrs(np.tile(c, (3, 1)))
+        assert np.allclose(out[4:8], 2 * kern.symbol_llrs(c))
 
 
 class TestSymbolToChip:
@@ -187,6 +188,24 @@ class TestChipLlrsKernel:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_buffered_underflow_clips_like_log_sum_exp(self, s):
+        # the buffered path keeps no fallback: an underflowed class gives a
+        # chip LLR beyond +/-700, +/-inf where its mass is 0, so clipping it to
+        # +/-LLR_MAX gives log-sum-exp's clipped value
+        kern, x, signs = _marginalization_case(s, "per-user", np.random.default_rng(50 + s), 1e3)
+        want = _q_major_reference(x, signs)
+        got = kern.chip_llrs(x.copy(), np.empty((5, s, 3)), np.empty((5, 1, 3)),
+                             np.empty((5, 2 * s, 3)))
+        zero = np.abs(want) > 800.0  # exp(-800) underflows to 0
+        assert np.any(zero)
+        assert np.array_equal(got[zero], np.sign(want[zero]) * np.inf)
+        far = np.abs(want) > 700.0
+        assert np.all(np.abs(got[far]) > 700.0)
+        assert np.array_equal(np.clip(got[far], -LLR_MAX, LLR_MAX),
+                              np.clip(want[far], -LLR_MAX, LLR_MAX))
+        np.testing.assert_allclose(got[~far], want[~far], rtol=1e-12, atol=1e-9)
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("s", range(1, 7))
     def test_zero_vectors_give_exact_zero(self, s, layout):
@@ -222,9 +241,27 @@ class TestLse:
         assert got[4] == pytest.approx(np.log1p(np.e), rel=1e-15)
 
 
+def _maps_by_entry(field, w, sv):
+    """The extrinsic and total maps, (L, Q, L, s) and (Q, L, s), gathered
+    entry by entry from the field tables: w[lam * inv(s_l) * s_i, m] with
+    zero own-position blocks, and w[lam * s_i, m]."""
+    mul, inv = field.mul_table, field.inv_table
+    L, (q, s) = len(sv), w.shape
+    ext, tot = np.zeros((L, q, L, s)), np.empty((q, L, s))
+    for lam in range(q):
+        for i, s_i in enumerate(sv):
+            tot[lam, i] = w[mul[lam, s_i]]
+            for ell, s_l in enumerate(sv):
+                if ell != i:
+                    ext[ell, lam, i] = w[mul[mul[lam, inv[s_l]], s_i]]
+    return ext, tot
+
+
 class TestDenseMapDespread:
-    """``despread``'s dense map against the gather chain and the MAP oracle,
-    for N = L*s and N = L*s - 1 symbol groups."""
+    """Both dense maps against their entries gathered one by one from the
+    field tables, and both ``despread`` paths (allocating and in buffers)
+    and the decision against the MAP oracles, for N = L*s and N = L*s - 1
+    symbol groups."""
 
     CASES = [(s, L) for s in range(1, 7) for L in (1, 2, 5)] + [
         (1, 129), (2, 64), (4, 32), (4, 64), (6, 22)]
@@ -235,25 +272,31 @@ class TestDenseMapDespread:
         field = build_field(s)
         mapper = random_mapper(s, (s, L, 1))
         sv = random_spreading(field, L, (s, L, 2))
+        kern = _CodeKernel(field, mapper.signs, sv.elements)
+        ext, tot = _maps_by_entry(field, kern.w, sv.elements)
+        assert np.array_equal(kern.ext_map, ext.reshape(kern.ext_map.shape))
+        assert np.array_equal(kern.tot_map, tot.reshape(kern.tot_map.shape))
         rows = L * s
         for n in sorted({rows, max(rows - 1, 1)}):
-            kern = _CodeKernel(field, mapper.signs, sv.elements)
-            x = rng.normal(0.0, 3.0, size=(n, L, s))
-            got = kern.despread(x.reshape(n, rows).T)                 # (L*s, n)
-            lsym = kern.symbol_llrs(np.swapaxes(x, 1, 2))
-            gathered = kern.chip_llrs(kern.extrinsic_symbol_llrs(lsym))  # (n, s, L)
-            np.testing.assert_allclose(got.T.reshape(n, L, s), np.swapaxes(gathered, 1, 2),
-                                       rtol=1e-12, atol=1e-12)
+            x = rng.normal(0.0, 3.0, size=(rows, n))                  # n symbol groups
+            got = kern.despread(x)
+            bufs = [np.empty((L, field.q, n))]
+            bufs += [np.empty((L, 1, n)), np.empty((L, 2 * s, n))] if s > 1 else []
+            assert np.array_equal(kern.despread(x.copy(), *bufs), got)
+            decided = kern.total_bit_llrs(x)                          # (s, n)
             for g in range(min(n, 2)):
-                want = map_despread_oracle(x[g].reshape(-1), sv, mapper, field)
+                want = map_despread_oracle(x[:, g], sv, mapper, field)
                 np.testing.assert_allclose(got[:, g], want, rtol=0, atol=1e-9)
+                want = map_decision_oracle(x[:, g], sv, mapper, field)
+                np.testing.assert_allclose(decided[:, g], want, rtol=0, atol=1e-9)
 
     def test_map_keeps_entry_zero_and_own_block_zero(self):
         field = build_field(3)
         kern = _CodeKernel(field, random_mapper(3, 5).signs,
                            random_spreading(field, 4, 6).elements)
-        m = kern._ext_map().reshape(4, field.q, 4, 3)
+        m = kern.ext_map.reshape(4, field.q, 4, 3)
         assert np.all(m[:, 0] == 0.0)
+        assert np.all(kern.tot_map[0] == 0.0)
         for ell in range(4):
             assert np.all(m[ell, :, ell] == 0.0)
 
@@ -270,7 +313,7 @@ class TestDenseMapDespread:
         own = slice(ell * s, (ell + 1) * s)
         x = rng.normal(0.0, 3.0, size=(L * s, L * s))
         base = kern.despread(x)
-        assert kern._m_ext is not None
+        assert "ext_map" in vars(kern)
         x[own] += rng.normal(0.0, scale, size=(s, L * s))
         assert np.array_equal(kern.despread(x)[own], base[own])
 
@@ -380,6 +423,21 @@ class TestKernelLayouts:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_exit_read_builds_no_map(self, monkeypatch):
+        # the EXIT sampler reads symbol LLRs in chip-pattern coordinates:
+        # its kernel never needs, so never builds, either dense map
+        kernels = []
+        init = _CodeKernel.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            kernels.append(self)
+
+        monkeypatch.setattr(_CodeKernel, "__init__", recorded)
+        exit_ffdes_exact(4.0, 4, 8, samples=256, seed=1)
+        assert kernels
+        assert not any({"ext_map", "tot_map"} & vars(k).keys() for k in kernels)
+
 
 class TestFfdesBlock:
     def test_s1_repetition_despreading(self):
@@ -464,11 +522,12 @@ class TestTotalLlrAndDecide:
         rng = np.random.default_rng(8)
         m = random_mapper(2, 14)
         sv = random_spreading(gf4, 3, 15)
-        vecs = kernel_vecs = _CodeKernel(gf4, m.signs, sv.elements).symbol_llrs(
-            rng.normal(size=(3, 2)).T)
-        assert np.all(vecs[0] == 0.0)
-        ext = _CodeKernel(gf4, m.signs, sv.elements).extrinsic_symbol_llrs(kernel_vecs)
-        assert np.all(ext[0] == 0.0)
+        kern = _CodeKernel(gf4, m.signs, sv.elements)
+        chips = rng.normal(size=(3, 2)).T                             # (s, L)
+        assert np.all(kern.symbol_llrs(chips)[0] == 0.0)
+        x = chips.T.reshape(-1, 1)                                    # (L*s, 1)
+        assert np.all(kern.extrinsic_symbol_llrs(x).reshape(3, 4)[:, 0] == 0.0)
+        assert kern.total_llrs(x)[0, 0] == 0.0
 
 
 def _make_system(rng, K, s, L, n, seed=0, natural=False):
@@ -675,18 +734,23 @@ class TestReferenceLoop:
         monkeypatch.setattr(decoder, "_cpu_share", lambda: 2)
         monkeypatch.setattr(decoder, "_pin_blas", lambda: True)
         assert (decoder._frame_threads(K, y.size) > 1) == (K * y.size >= decoder.THREAD_MIN_CHIPS)
-        fallbacks = []
+        # (beyond +/-700, infinite) per buffered marginalization, before the
+        # clip: a class mass below the normal floats, or exactly 0
+        extremes = []
         chip_llrs = _CodeKernel.chip_llrs
 
-        def counted(self, *args):
+        def recorded(self, *args):
             out = chip_llrs(self, *args)
-            fallbacks.append(len(args) > 1 and out is None)
+            if len(args) > 1:
+                extremes.append((not np.all(np.abs(out) <= 700.0), np.isinf(out).any()))
             return out
 
-        monkeypatch.setattr(_CodeKernel, "chip_llrs", counted)
+        monkeypatch.setattr(_CodeKernel, "chip_llrs", recorded)
         for tc in (None, chips):
             got = decode_frame(y, specs, params, iterations=10, true_chips=tc)
             ref = reference_decode_frame(y, specs, params, 10, true_chips=tc)
             for field in ("decisions", "bit_llrs", "trace", "chip_priors"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), (tc is None, field)
-        assert any(fallbacks) == underflows
+        beyond, infinite = np.any(extremes, axis=0)
+        assert beyond == underflows
+        assert infinite == (underflows and s == 6)  # the s=4 shape's masses stay subnormal
