@@ -14,9 +14,17 @@ the same name.  Exit codes: 0 success, 2 configuration error, 3 runtime
 failure.
 
 Determinism: per-frame random streams are seeded by (master seed,
-Eb/N0 point index, frame index) and the stop rule is evaluated on the
-frame-index prefix, so identical (config, seed) runs produce
-byte-identical CSVs regardless of the worker count.
+Eb/N0 point index, frame index) and the frame-count stop rule
+(``min_errors``/``max_frames``) is evaluated on the frame-index prefix,
+so identical (config, seed) runs produce byte-identical CSVs regardless
+of the worker count.  A sweep starts at most one worker process per
+usable CPU.
+
+Iteration stop rule: ``stop_after = m`` ends a frame's decoding once no
+user's hard decision has changed for m consecutive iterations (Shao,
+Lin and Fossorier, IEEE Trans. Commun. 1999), at most ``iterations``;
+``stop_after = 0`` runs every iteration.  The rule is local to a frame,
+so it keeps the worker-count determinism.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from . import analysis, slope
 from .channel import ChannelParams, transmit
 from .codec import (UserCodeSpec, encode_user, make_interleaver, ones_spreading,
                     random_spreading)
-from .decoder import _TINY, decode_frame, share_cpus
+from .decoder import _TINY, decode_frame, share_cpus, usable_cpus
 from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
 # entries of one float64 array: a frame's (K, T) chip arrays, its
@@ -67,6 +75,7 @@ class RunConfig:
     n: int = 1500                   # symbols per frame (s*n info bits per user)
     eb_n0_db: tuple = (4.0, 5.0, 6.0, 7.0, 8.0)
     iterations: int = 50
+    stop_after: int = 4             # iteration stop rule; 0 runs every iteration
     seed: int = 1
     workers: int = 1
     min_errors: int = 100
@@ -96,6 +105,8 @@ class RunConfig:
                 f"max(n, l*s)*l*2^s = {entries} exceeds the despreader "
                 f"budget {MAX_DESPREAD_ENTRIES} (float64 entries per user)"
             )
+        if self.stop_after < 0:
+            problems.append("stop_after must be >= 0")
         names = ("k", "s", "l", "n", "iterations", "workers", "min_errors", "max_frames")
         _check_ranges(problems, positive={name: getattr(self, name) for name in names},
                      s=self.s, eb_n0_db=self.eb_n0_db, seed=self.seed)
@@ -193,25 +204,28 @@ def _frame_worker(args) -> int:
     info = rng.integers(0, 2, size=(cfg.k, cfg.s * cfg.n)) * 2 - 1
     # the chips are not kept: only y is alive while the frame decodes
     y = transmit(np.stack([encode_user(info[k], specs[k]) for k in range(cfg.k)]), params, rng)
-    result = decode_frame(y, specs, params, iterations=cfg.iterations)
+    result = decode_frame(y, specs, params, iterations=cfg.iterations,
+                          stop_after=cfg.stop_after)
     return int((result.decisions != info).sum())
 
 
 def run_ber_sweep(cfg: RunConfig, csv_path=None) -> list[BerRecord]:
-    """Simulate frames per Eb/N0 point until the stop rule fires.
+    """Simulate frames per Eb/N0 point until the frame-count stop rule fires.
 
-    The stop rule (min errors or max frames) is applied to the cumulative
+    The rule (min errors or max frames) is applied to the cumulative
     error count in frame-index order; frames computed beyond the stop
     prefix are discarded, which keeps results independent of the worker
-    count.
+    count.  So ``workers`` is capped at the usable CPUs, for the process
+    pool and the frame batches alike, without changing the results.
     """
     cfg.validate()
     records = []
     executor = None
-    if cfg.workers > 1:
+    workers = min(cfg.workers, usable_cpus())
+    if workers > 1:
         # each worker decodes on its share of the CPUs, with OpenBLAS pinned
-        executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=share_cpus,
-                                       initargs=(cfg.workers,))
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
+                                       initargs=(workers,))
     try:
         for point_idx in range(len(cfg.eb_n0_db)):
             t0 = time.perf_counter()
@@ -220,7 +234,7 @@ def run_ber_sweep(cfg: RunConfig, csv_path=None) -> list[BerRecord]:
             stop = None
             next_frame = 0
             while stop is None and next_frame < cfg.max_frames:
-                hi = min(next_frame + max(cfg.workers, 1), cfg.max_frames)
+                hi = min(next_frame + workers, cfg.max_frames)
                 payloads = [(cfg, point_idx, fi) for fi in range(next_frame, hi)]
                 if executor is None:
                     batch = [_frame_worker(p) for p in payloads]
@@ -357,22 +371,27 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines; '#' starts a comment.  A file that cannot
+    be read as text is a ``ConfigError``."""
     values = {}
     problems = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                problems.append(f"{path}:{lineno}: expected 'key = value'")
-                continue
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in CONFIG_KEYS:
-                problems.append(f"{path}:{lineno}: unknown key {key!r}")
-                continue
-            values[key] = _parse_value(key, raw)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            problems.append(f"{path}:{lineno}: expected 'key = value'")
+            continue
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in CONFIG_KEYS:
+            problems.append(f"{path}:{lineno}: unknown key {key!r}")
+            continue
+        values[key] = _parse_value(key, raw)
     if problems:
         raise ConfigError(problems)
     return values

@@ -149,9 +149,9 @@ class _CodeKernel:
         every position, relabeled by the spreading elements."""
         return np.matmul(self.ext_map, chip_llrs, out=out)
 
-    def total_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
+    def total_llrs(self, chip_llrs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(.., L*s, N) chip LLRs -> (.., Q, N) all-positions symbol LLRs."""
-        return self.tot_map @ chip_llrs
+        return np.matmul(self.tot_map, chip_llrs, out=out)
 
     def chip_llrs(self, sym_llrs: np.ndarray, out: np.ndarray | None = None,
                   peak: np.ndarray | None = None,
@@ -282,13 +282,17 @@ def _pin_blas() -> bool:
     return _blas_pinned
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on, at least 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cpu_share() -> int:
     """Usable CPUs per decoding process, at least 1."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _processes)
+    return max(1, usable_cpus() // _processes)
 
 
 def _task_threads(tasks: int) -> int:
@@ -377,16 +381,38 @@ def _ese_all(y: np.ndarray, la_x: np.ndarray, amplitude: float, n0: float,
     return out
 
 
+def _count_flips(kern: _CodeKernel, x: np.ndarray, g: np.ndarray, marg: list,
+                 decided: np.ndarray) -> int:
+    """How many hard decisions read off the (L*s, N) chip priors ``x`` differ
+    from ``decided``, the (s, N) bool array (True for +1) that they replace.
+
+    A bit is decided +1 where its total posterior LLR is >= 0, as in the
+    final decision.  ``x`` is left as it is: the total symbol LLRs go to
+    ``g[0]`` and the bit LLRs to ``g[1, :s]``, and for s > 1 the
+    marginalization runs in the first (1, N) and (2s, N) blocks of ``marg``.
+    Where a class mass underflows this gives +/-inf, whose sign is
+    log-sum-exp's: the class holding the max has mass >= 1.
+    """
+    bits = kern.chip_llrs(kern.total_llrs(x, out=g[0]), g[1, :kern.s], *(b[0] for b in marg))
+    np.greater_equal(bits, 0.0, out=bits)
+    np.not_equal(bits, decided, out=decided)
+    flips = np.count_nonzero(decided)
+    np.not_equal(bits, 0.0, out=decided)
+    return flips
+
+
 @dataclass
 class DecodeResult:
     decisions: np.ndarray    # (K, s*N) decided info bits, +/-1
     bit_llrs: np.ndarray     # (K, s*N) total posterior bit LLRs
     trace: np.ndarray        # (iterations, K) mean extrinsic chip LLR per user
     chip_priors: np.ndarray  # (K, s*N*L) final deinterleaved a-priori chip LLRs
+    iterations: int          # iterations run: the configured number unless stopped
 
 
 def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams,
-                 iterations: int = 50, true_chips: np.ndarray | None = None) -> DecodeResult:
+                 iterations: int = 50, true_chips: np.ndarray | None = None,
+                 stop_after: int = 0) -> DecodeResult:
     """Iterative multi-user decoding of one frame.
 
     All users update in parallel each iteration: ESE at every position,
@@ -405,7 +431,23 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
 
     ``trace[it, k]`` records the mean extrinsic chip LLR of user k after
     iteration it: mean of x * LLR when ``true_chips`` (the K transmitted
-    chip vectors) is given, mean absolute LLR otherwise.
+    chip vectors) is given, mean absolute LLR otherwise.  It has one row
+    per iteration run, ``DecodeResult.iterations``.
+
+    Stop rule.  With ``stop_after = m > 0`` the frame stops once no user's
+    hard decision has changed for m consecutive iterations (the
+    hard-decision criterion of Shao, Lin and Fossorier, "Two simple
+    stopping criteria for turbo decoding", IEEE Trans. Commun. 1999).
+    Iteration it's decisions are the signs of the total bit LLRs of the
+    deinterleaved ESE output that the decision after it would read; each
+    user's task counts how many differ from the previous iteration's, and
+    the main thread applies the rule once all users are done, so the stop
+    iteration is the same for any thread count.  The first iteration's
+    decisions have no predecessor, so a frame runs at least m + 1
+    iterations.  The decision reads the last ESE output, not the last
+    despread, so a frame that stops after j iterations returns the same
+    decisions, bit LLRs, trace and chip priors, bit for bit, as
+    ``iterations=j, stop_after=0``.  ``stop_after=0`` runs every iteration.
 
     A frame of at least ``THREAD_MIN_CHIPS`` chips runs on threads and
     sets OpenBLAS to one thread for the rest of the process (see the
@@ -415,8 +457,11 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     the gathered priors (L*s, N), the despread's (L, 2^s, N) matmul output,
     whose first 2T entries then hold the interleaved extrinsics and the
     trace's temporary, and for s > 1 the marginalization's max and class
-    masses.  Deinterleaving gathers through ``pos``, the (K, T) int64
-    inverse of ``chip_slots``, and interleaving through ``chip_slots``.
+    masses.  The stop rule's decisions run in the same buffers before the
+    despread (the matmul output has at least two (2^s, N) blocks for them);
+    the only memory the rule adds is the (K, s, N) previous decisions.
+    Deinterleaving gathers through ``pos``, the (K, T) int64 inverse of
+    ``chip_slots``, and interleaving through ``chip_slots``.
     Both use ``np.take(..., mode="clip")``: the default "raise" buffers the
     whole output and costs as much as a scatter, and a permutation is never
     clipped.  The indices stay int64, which ``take`` uses without a copy.
@@ -427,6 +472,8 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
         raise ValueError(f"got {K} user specs but params.K={params.K}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if stop_after < 0:
+        raise ValueError("stop_after must be >= 0")
     T = y.size
     for spec in specs:
         if spec.chip_count != T:
@@ -450,18 +497,23 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     threads = _frame_threads(K, T)
     la_x = np.zeros((K, T))
     trace = np.zeros((iterations, K))
-    # per thread, see the docstring; g = work[j][1] holds T * 2^s / s >= 2T entries
-    work = [(np.empty(cols), np.empty((L, 2**s, N)))
+    if stop_after:
+        flips = np.zeros((iterations, K), dtype=np.int64)  # decisions changed per user
+        decided = np.ones((K, s, N), dtype=bool)  # zero LLRs decide +1
+    # per thread, see the docstring; g[:L] holds T * 2^s / s >= 2T entries
+    work = [(np.empty(cols), np.empty((max(L, 2), 2**s, N)))
             + ((np.empty((L, 1, N)), np.empty((L, 2 * s, N))) if s > 1 else ())
             for _ in range(threads)]
 
     def update(users: range) -> None:
         """Despread, re-interleave and damp ``users``; writes their rows only."""
         x, g, *marg = work[users.start]
-        extr, tmp = g.reshape(-1)[:2 * T].reshape(2, T)
+        extr, tmp = g[:L].reshape(-1)[:2 * T].reshape(2, T)
         for k in users:
             np.take(ese[k], pos[k], out=x.reshape(-1), mode="clip")
-            le = kernels[k].despread(x, g, *marg)
+            if stop_after:
+                flips[it, k] = _count_flips(kernels[k], x, g, marg, decided[k])
+            le = kernels[k].despread(x, g[:L], *marg)
             np.clip(le, -LLR_MAX, LLR_MAX, out=le)
             np.take(le.reshape(-1), slots[k], out=extr, mode="clip")
             if true_chips is not None:
@@ -476,6 +528,9 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     for it in range(iterations):
         _ese_all(y, la_x, params.amplitude, params.n0, threads, out=ese)
         _run_split(update, range(K), threads)
+        if stop_after and it >= stop_after and not flips[it + 1 - stop_after:it + 1].any():
+            break
+    trace = trace[:it + 1]
 
     del work, pos, la_x  # freed before the decision's (K, T) arrays
     la_c = np.empty((K, T))  # the last iteration's priors, deinterleaved
@@ -486,4 +541,4 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     decisions = np.where(bit_llrs >= 0, 1, -1).astype(np.int8)
     chip_priors = la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T)
     return DecodeResult(decisions=decisions, bit_llrs=bit_llrs, trace=trace,
-                        chip_priors=chip_priors)
+                        chip_priors=chip_priors, iterations=it + 1)

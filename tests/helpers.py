@@ -113,12 +113,16 @@ def random_despread_instance(rng, s_max=4, L_max=4, scale=3.0):
     return field, mapper, sv, prior
 
 
-def reference_decode_frame(y, specs, params, iterations, true_chips=None):
+def reference_decode_frame(y, specs, params, iterations, true_chips=None, stop_after=0):
     """The library's frame loop written plainly, serial and allocating.
 
     Each user is deinterleaved by a scatter, despread into fresh arrays,
     clipped, re-interleaved by a gather and damped, with the library's
-    own kernels, so ``decode_frame`` must match it bit for bit.
+    own kernels, so ``decode_frame`` must match it bit for bit.  The stop
+    rule compares each iteration's hard decisions, the signs of the total
+    bit LLRs of its deinterleaved ESE output, with the previous
+    iteration's, and stops once ``stop_after`` iterations in a row after
+    the first changed none.
     """
     from ffspread.codec import chip_slots
     from ffspread.decoder import DAMPING, LLR_MAX, DecodeResult, _CodeKernel, _ese_all
@@ -130,16 +134,27 @@ def reference_decode_frame(y, specs, params, iterations, true_chips=None):
     la_x = np.zeros((K, T))
     la_c = np.empty((K, T))
     trace = np.zeros((iterations, K))
+    decided = [None] * K
+    unchanged = 0  # iterations in a row, after the first, that changed no decision
     for it in range(iterations):
         ese = _ese_all(y, la_x, params.amplitude, params.n0)
+        changed = 0
         for k in range(K):
             la_c[k][slots[k]] = ese[k]
+            now = kernels[k].total_bit_llrs(la_c[k].reshape(cols)) >= 0
+            if decided[k] is not None:
+                changed += int(np.count_nonzero(now != decided[k]))
+            decided[k] = now
             le = np.clip(kernels[k].despread(la_c[k].reshape(cols)), -LLR_MAX, LLR_MAX)
             extr = le.reshape(-1)[slots[k]]
             trace[it, k] = np.mean(np.abs(extr) if true_chips is None else true_chips[k] * extr)
             la_x[k] = DAMPING * la_x[k] + (1.0 - DAMPING) * extr
+        unchanged = unchanged + 1 if it > 0 and changed == 0 else 0
+        if stop_after and unchanged >= stop_after:
+            break
     bit_llrs = np.stack([kern.total_bit_llrs(la_c[k].reshape(cols)).T.reshape(-1)
                          for k, kern in enumerate(kernels)])
     return DecodeResult(decisions=np.where(bit_llrs >= 0, 1, -1).astype(np.int8),
-                        bit_llrs=bit_llrs, trace=trace,
-                        chip_priors=la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T))
+                        bit_llrs=bit_llrs, trace=trace[:it + 1],
+                        chip_priors=la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T),
+                        iterations=it + 1)

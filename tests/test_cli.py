@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ffspread import cli
 from ffspread.cli import (MAX_DESPREAD_ENTRIES, BerRecord, ConfigError, FitError,
                           RunConfig, build_user_specs, fit_slope,
                           load_config_file, main, read_ber_csv, resolve_config,
@@ -99,6 +100,21 @@ class TestConfig:
         assert cfg.s == 2
         assert cfg.eb_n0_db == (7.0,)
         assert cfg.noiseless is True
+
+    def test_stop_after_key_and_refusal(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("stop_after = 0\n")
+        assert load_config_file(path) == {"stop_after": 0}
+        assert RunConfig().stop_after > 0
+        with pytest.raises(ConfigError, match="stop_after must be >= 0"):
+            RunConfig(stop_after=-1).validate()
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"k = 2\n\xff\xfe\n")
+        for path in (tmp_path / "missing.cfg", tmp_path, binary):
+            with pytest.raises(ConfigError, match="cannot read config file"):
+                load_config_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -191,6 +207,36 @@ class TestBerSweep:
         run_ber_sweep(RunConfig(workers=2, **base), csv_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, tmp_path):
+        # a stub pool: a real sweep must never start 100000 processes
+        pools, batches = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initializer, initargs))
+
+            def map(self, fn, items):
+                items = list(items)
+                batches.append(len(items))
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        base = dict(k=2, s=1, l=2, n=64, eb_n0_db=(2.0,), iterations=2, seed=6,
+                    min_errors=10**9, max_frames=7)
+        run_ber_sweep(RunConfig(workers=100_000, **base), csv_path=tmp_path / "many.csv")
+        assert pools == [(3, cli.share_cpus, (3,))]
+        assert batches == [3, 3, 1]
+        run_ber_sweep(RunConfig(workers=1, **base), csv_path=tmp_path / "one.csv")
+        assert len(pools) == 1  # one worker: no pool
+        assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        run_ber_sweep(RunConfig(workers=4, **base))
+        assert len(pools) == 1  # a single usable CPU decodes in-process
+
     def test_worker_processes_after_threaded_frame(self, tmp_path):
         # The parent's decode pool exists when the sweep forks its workers;
         # a worker that reused it would wait forever on threads it lacks.
@@ -268,9 +314,17 @@ class TestMainEntry:
         cfg.write_text("k = 0\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
 
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [["--mapper", "weird"], ["--k", "two"],
                                        ["--noiseless", "maybe"], ["--seed", "-1"],
                                        ["--k", "100000"], ["--iterations", "1000000000"],
+                                       ["--stop_after", "-1"],
                                        # Eb/N0 or N0 not a positive normal float
                                        ["--eb_n0_db", "4000"], ["--eb_n0_db", "-4000"],
                                        ["--eb_n0_db", "-3100"]])

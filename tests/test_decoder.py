@@ -715,7 +715,8 @@ class TestThreads:
 
 
 class TestReferenceLoop:
-    """decode_frame equals the plain scatter-and-allocate loop bit for bit."""
+    """decode_frame equals the plain scatter-and-allocate loop bit for bit,
+    with the stop rule off and on."""
 
     @pytest.mark.parametrize("K,s,L,n,db,underflows", [
         (3, 1, 4, 200, 4.0, False),
@@ -749,8 +750,77 @@ class TestReferenceLoop:
         for tc in (None, chips):
             got = decode_frame(y, specs, params, iterations=10, true_chips=tc)
             ref = reference_decode_frame(y, specs, params, 10, true_chips=tc)
+            assert got.iterations == ref.iterations == 10
+            assert got.trace.shape == (10, K)
             for field in ("decisions", "bit_llrs", "trace", "chip_priors"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), (tc is None, field)
         beyond, infinite = np.any(extremes, axis=0)
         assert beyond == underflows
         assert infinite == (underflows and s == 6)  # the s=4 shape's masses stay subnormal
+        got = decode_frame(y, specs, params, iterations=20, stop_after=2)
+        _assert_same_outputs(got, reference_decode_frame(y, specs, params, 20, stop_after=2))
+        assert got.iterations < 20 or db < 7.5  # the 7.5 dB and higher frames stop
+
+
+def _frame(K, s, L, n, db, seed, noiseless=False):
+    """A transmitted frame: (y, specs, params, true chips)."""
+    rng = np.random.default_rng(seed)
+    specs = _make_system(rng, K, s, L, n, seed=seed)
+    params = ChannelParams(K=K, L=L, eb_n0_db=db, noiseless=noiseless)
+    info = rng.integers(0, 2, (K, s * n)) * 2 - 1
+    chips = np.stack([encode_user(info[k], specs[k]) for k in range(K)])
+    return transmit(chips, params, rng), specs, params, chips
+
+
+def _assert_same_outputs(got, ref):
+    assert got.iterations == ref.iterations
+    for field in ("decisions", "bit_llrs", "trace", "chip_priors"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+
+
+class TestStopRule:
+    """A frame that stops early is the fixed schedule cut at its stop iteration."""
+
+    @pytest.mark.parametrize("K,s,L,n,db", [
+        (8, 4, 8, 3000, 7.5),   # the s=4 sweep shape, threaded
+        (8, 2, 8, 750, 7.5),
+        (2, 4, 8, 4000, 20.0),  # class masses underflow
+        (4, 1, 8, 3000, 6.0),
+    ])
+    def test_stopped_frame_equals_fixed_schedule(self, K, s, L, n, db):
+        y, specs, params, chips = _frame(K, s, L, n, db, seed=K * 10 + s)
+        got = decode_frame(y, specs, params, true_chips=chips, stop_after=4)
+        assert 4 < got.iterations < 50
+        assert got.trace.shape == (got.iterations, K)
+        ref = decode_frame(y, specs, params, iterations=got.iterations, true_chips=chips)
+        _assert_same_outputs(got, ref)
+
+    def test_same_stop_on_one_and_two_threads(self, monkeypatch):
+        y, specs, params, _ = _frame(4, 2, 8, 2000, 7.5, seed=61)
+        assert y.size * 4 >= decoder.THREAD_MIN_CHIPS
+        monkeypatch.setattr(decoder, "_pin_blas", lambda: True)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(decoder, "_cpu_share", lambda cpus=cpus: cpus)
+            assert decoder._frame_threads(4, y.size) == cpus
+            runs.append(decode_frame(y, specs, params, stop_after=3))
+        assert runs[0].iterations < 50
+        _assert_same_outputs(runs[1], runs[0])
+
+    def test_no_stop_below_the_waterfall(self):
+        y, specs, params, _ = _frame(8, 4, 8, 3000, 4.0, seed=62)
+        assert decode_frame(y, specs, params, stop_after=4).iterations == 50
+
+    def test_first_iteration_never_counts(self):
+        # one noiseless user: every decision is final after the first iteration
+        y, specs, params, _ = _frame(1, 2, 4, 64, 0.0, seed=63, noiseless=True)
+        assert decode_frame(y, specs, params, iterations=1, stop_after=1).iterations == 1
+        for m in (1, 3):
+            got = decode_frame(y, specs, params, stop_after=m)
+            assert got.iterations == m + 1
+            _assert_same_outputs(got, decode_frame(y, specs, params, iterations=m + 1))
+
+    def test_negative_stop_after_refused(self):
+        y, specs, params, _ = _frame(1, 1, 2, 8, 4.0, seed=64)
+        with pytest.raises(ValueError, match="stop_after"):
+            decode_frame(y, specs, params, stop_after=-1)
