@@ -14,7 +14,11 @@ definition,
 with r_{j,i} drawn i.i.d. uniformly from the length-s binary vectors
 excluding all-ones (j = 1..2^(s-1), i = 1..L-1), either by full
 enumeration of the joint realizations (exact, as a rational) or by
-Monte Carlo.
+Monte Carlo.  The enumeration lists one group's weight sums, one entry
+per realization of its L-1 draws, and takes the max over the Cartesian
+product of the 2^(s-1) independent groups: every joint realization
+appears once, with its max taken directly, so no CDF or power identity
+of the closed form is involved.
 """
 
 from __future__ import annotations
@@ -75,6 +79,11 @@ def g_closed_form(s: int, L: int) -> Fraction:
     return Fraction(L - 1) + Fraction(total, denom)
 
 
+def _exact_count(s: int, L: int) -> int:
+    """Joint realizations an exact oracle enumerates: (2^s-1)^((L-1) 2^(s-1))."""
+    return (2**s - 1) ** ((L - 1) << (s - 1))
+
+
 @dataclass(frozen=True)
 class OracleResult:
     value: Fraction | float
@@ -87,8 +96,16 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
     """Slope from the probabilistic definition, independent of the closed form.
 
     ``exact`` enumerates every joint realization of the (L-1) * 2^(s-1)
-    uniform draws (refused above EXACT_ENUM_BUDGET realizations);
-    ``montecarlo`` samples them.
+    uniform draws (refused above EXACT_ENUM_BUDGET realizations).  It
+    builds the weight-sum vector of one group, (2^s-1)^(L-1) entries, one
+    per realization of that group's draws; the groups are i.i.d., so the
+    Cartesian product of 2^(s-1) copies of it lists every joint
+    realization once, and the outer max over that product gives each
+    one's max_j directly.  The mean over those maxima is the exact
+    expectation, summed in integers, without the CDF-power identity the
+    closed form rests on.
+
+    ``montecarlo`` samples the draws; ``samples`` must be >= 1.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")
@@ -96,35 +113,39 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
         return OracleResult(Fraction(0), "exact enumeration")
     m = 2**s - 1                       # alphabet: vectors 0 .. 2^s-2 (all-ones excluded)
     n_j = 1 << (s - 1)
-    n_draws = (L - 1) * n_j
     weights = np.array([v.bit_count() for v in range(m)], dtype=np.int16)
 
     if mode == "exact":
-        count = m**n_draws
+        count = _exact_count(s, L)
         if count > EXACT_ENUM_BUDGET:
             raise ValueError(
                 f"exact enumeration needs {count} joint realizations "
                 f"(> {EXACT_ENUM_BUDGET}); use mode='montecarlo'"
             )
-        cur = np.arange(count, dtype=np.int64)
-        per_j = np.zeros((n_j, count), dtype=np.int16)
-        for pos in range(n_draws):
-            digit = cur % m
-            cur //= m
-            per_j[pos // (L - 1)] += weights[digit]
-        total = int(np.max(per_j, axis=0).sum(dtype=np.int64))
+        group = np.zeros(1, dtype=np.int16)       # one group's weight sums
+        for _ in range(L - 1):
+            group = np.add.outer(group, weights).reshape(-1)
+        best = group                              # max over the groups so far
+        for _ in range(n_j - 1):
+            best = np.maximum.outer(best, group).reshape(-1)
+        total = int(best.sum(dtype=np.int64))    # best.size == count
         value = Fraction(s * (L - 1)) - Fraction(total, count)
         return OracleResult(value, "exact enumeration")
 
     if mode == "montecarlo":
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         rng = np.random.default_rng(seed)
         chunk = 1 << 14
         n_done, acc, acc2 = 0, 0.0, 0.0
         while n_done < samples:
             b = min(chunk, samples - n_done)
-            draws = rng.integers(0, m, size=(b, n_j, L - 1))
-            w = weights[draws].sum(axis=2, dtype=np.int64)    # (b, n_j)
-            vals = s * (L - 1) - w.max(axis=1).astype(np.float64)
+            # (b, n_j, L-1) weights; the int64 draws are not held into the next chunk
+            w = weights.take(rng.integers(0, m, size=(b, n_j, L - 1)))
+            sums = w[:, :, 0].astype(np.int64)       # faster than sum(axis=2)
+            for i in range(1, L - 1):
+                sums += w[:, :, i]
+            vals = s * (L - 1) - sums.max(axis=1).astype(np.float64)
             acc += vals.sum()
             acc2 += (vals * vals).sum()
             n_done += b
@@ -181,10 +202,9 @@ class SlopeReport:
 def slope_report(s: int, L: int, oracle_mode: str = "auto",
                  samples: int = 200_000, seed=0) -> SlopeReport:
     """Closed form, oracle cross-check, and standard slope for one (s, L)."""
+    g = g_closed_form(s, L)                       # validates s and L
     if oracle_mode == "auto":
-        feasible = L == 1 or (2**s - 1) ** ((L - 1) * 2 ** (s - 1)) <= EXACT_ENUM_BUDGET
-        oracle_mode = "exact" if feasible else "montecarlo"
-    g = g_closed_form(s, L)
+        oracle_mode = "exact" if _exact_count(s, L) <= EXACT_ENUM_BUDGET else "montecarlo"
     return SlopeReport(
         s=s, L=L, g_closed=g, g_closed_float=float(g),
         g_oracle=g_oracle(s, L, mode=oracle_mode, samples=samples, seed=seed),

@@ -5,6 +5,8 @@ Everything here is deliberately written from first principles
 than reusing the library's log-domain kernels.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -158,3 +160,49 @@ def reference_decode_frame(y, specs, params, iterations, true_chips=None, stop_a
                         bit_llrs=bit_llrs, trace=trace[:it + 1],
                         chip_priors=la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T),
                         iterations=it + 1)
+
+
+def reference_g_oracle_exact(s, L):
+    """Slope by decoding each joint realization index digit by digit: the
+    (2^s-1)^((L-1) 2^(s-1)) indices are enumerated whole, so keep s, L small."""
+    if L == 1:
+        return Fraction(0)
+    m = 2**s - 1
+    n_j = 1 << (s - 1)
+    n_draws = (L - 1) * n_j
+    weights = np.array([v.bit_count() for v in range(m)], dtype=np.int16)
+    count = m**n_draws
+    cur = np.arange(count, dtype=np.int64)
+    per_j = np.zeros((n_j, count), dtype=np.int16)
+    for pos in range(n_draws):
+        digit = cur % m
+        cur //= m
+        per_j[pos // (L - 1)] += weights[digit]
+    total = int(np.max(per_j, axis=0).sum(dtype=np.int64))
+    return Fraction(s * (L - 1)) - Fraction(total, count)
+
+
+def reference_g_oracle_montecarlo(s, L, samples, seed):
+    """Monte-Carlo slope (mean, standard error), drawn as the library draws
+    and summed by a plain ``sum(axis=2)`` over each group's draws."""
+    m = 2**s - 1
+    n_j = 1 << (s - 1)
+    weights = np.array([v.bit_count() for v in range(m)], dtype=np.int16)
+    rng = np.random.default_rng(seed)
+    chunk = 1 << 14
+    n_done, acc, acc2 = 0, 0.0, 0.0
+    while n_done < samples:
+        b = min(chunk, samples - n_done)
+        draws = rng.integers(0, m, size=(b, n_j, L - 1))
+        w = weights[draws].sum(axis=2, dtype=np.int64)    # (b, n_j)
+        vals = s * (L - 1) - w.max(axis=1).astype(np.float64)
+        acc += vals.sum()
+        acc2 += (vals * vals).sum()
+        n_done += b
+    mean = acc / samples
+    if samples > 1:
+        var = max(acc2 - samples * mean * mean, 0.0) / (samples - 1)
+        se = float(np.sqrt(var / samples))
+    else:
+        se = float("nan")
+    return mean, se

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from ffspread.cli import write_prediction, write_slope_table
 from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, g_closed_form, g_oracle,
                             predict_ber, slope_report, standard_slope,
                             standard_slope_exact)
+
+from helpers import reference_g_oracle_exact, reference_g_oracle_montecarlo
 
 
 class TestClosedForm:
@@ -100,6 +103,33 @@ class TestOracle:
         with pytest.raises(ValueError, match="mode"):
             g_oracle(2, 2, mode="guess")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_montecarlo_refuses_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            g_oracle(2, 4, mode="montecarlo", samples=samples)
+
+    @pytest.mark.parametrize("s, L", [(1, L) for L in (1, 2, 9, 40)]
+                             + [(2, L) for L in range(1, 9)]
+                             + [(3, L) for L in range(1, 4)])
+    def test_exact_matches_digit_enumeration(self, s, L):
+        assert g_oracle(s, L, mode="exact").value == reference_g_oracle_exact(s, L)
+
+    @pytest.mark.parametrize("s, L, seed", [(4, 8, 3), (4, 8, 1), (2, 8, 1)])
+    def test_montecarlo_matches_reference_sums(self, s, L, seed):
+        # 100_003 samples: six full chunks and a partial one
+        res = g_oracle(s, L, mode="montecarlo", samples=100_003, seed=seed)
+        assert (res.value, res.std_error) == reference_g_oracle_montecarlo(s, L, 100_003, seed)
+
+    def test_exact_enumeration_memory(self):
+        # 7^8 joint realizations; the digit-by-digit enumeration peaked at 176 MiB
+        tracemalloc.start()
+        try:
+            g_oracle(3, 3, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
 
 class TestStandardSlope:
     def test_s1_always_one(self):
@@ -164,6 +194,18 @@ class TestSlopeReport:
         assert rep.g_oracle.method == "exact enumeration"
         assert rep.g_closed == rep.g_oracle.value
         assert rep.g_std == standard_slope(2, 3)
+
+    @pytest.mark.parametrize("s, L, method", [
+        (2, 8, "exact enumeration"), (3, 3, "exact enumeration"),
+        (2, 9, "monte carlo"), (3, 4, "monte carlo")])
+    def test_auto_mode_at_budget_edge(self, s, L, method):
+        rep = slope_report(s, L, samples=1000)
+        assert rep.g_oracle.method == method
+        if method == "monte carlo":
+            with pytest.raises(ValueError, match="montecarlo"):
+                g_oracle(s, L, mode="exact")
+        else:
+            assert rep.g_oracle.value == rep.g_closed
 
     def test_mc_mode_selected_when_over_budget(self):
         rep = slope_report(4, 8, samples=20_000, seed=3)
