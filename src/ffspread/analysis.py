@@ -45,6 +45,7 @@ CHUNK = 1 << 12
 # 2 MiB per array across the threads
 KERNEL_ENTRIES = 1 << 18
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
+TUNNEL_ROUNDS = 2000  # most rounds of tunnel_check's recursion
 
 
 @dataclass(frozen=True)
@@ -253,24 +254,22 @@ class TunnelResult:
 
 
 def tunnel_check(s: int, L: int, K: int, eb_n0: float, grid=None,
-                 samples: int = 20_000, seed=0, m_stop: float | None = None,
-                 max_rounds: int = 2000) -> TunnelResult:
+                 samples: int = 20_000, seed=0) -> TunnelResult:
     """Iterate the two-curve recursion between the signal estimator and
     the despreader from zero prior information.
 
-    Reports convergence once the trajectory exceeds ``m_stop`` (the top
-    of the grid by default), otherwise the fixed point it stalls at.
-    ``eb_n0`` is linear.
+    Reports convergence once the trajectory exceeds the top of the grid,
+    otherwise the fixed point it stalls at, or where it is after
+    ``TUNNEL_ROUNDS`` rounds.  ``eb_n0`` is linear.
     """
     if grid is None:
         grid = tuple(DEFAULT_GRID) + (50.0,)
     grid = np.asarray(grid, dtype=np.float64)
-    if m_stop is None:
-        m_stop = float(grid[-1])
+    m_stop = float(grid[-1])
     ese = ese_curve(K, L, eb_n0, grid, samples, _seed_tuple(seed, 101))
     des = ffdes_approx_curve(s, L, grid, samples, _seed_tuple(seed, 202))
     x = 0.0
-    for _ in range(max_rounds):
+    for _ in range(TUNNEL_ROUNDS):
         y = float(np.interp(x, grid, ese.m_e))
         if y > m_stop:
             return TunnelResult(True, None)

@@ -226,29 +226,18 @@ def run_ber_sweep(cfg: RunConfig, csv_path=None) -> list[BerRecord]:
         # each worker decodes on its share of the CPUs, with OpenBLAS pinned
         executor = ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
                                        initargs=(workers,))
+    run = map if executor is None else executor.map
     try:
         for point_idx in range(len(cfg.eb_n0_db)):
             t0 = time.perf_counter()
-            per_frame: list[int] = []
-            cum = 0
-            stop = None
-            next_frame = 0
-            while stop is None and next_frame < cfg.max_frames:
-                hi = min(next_frame + workers, cfg.max_frames)
-                payloads = [(cfg, point_idx, fi) for fi in range(next_frame, hi)]
-                if executor is None:
-                    batch = [_frame_worker(p) for p in payloads]
-                else:
-                    batch = list(executor.map(_frame_worker, payloads))
-                per_frame.extend(batch)
-                for i, e in enumerate(batch, start=next_frame):
-                    cum += e
-                    if cum >= cfg.min_errors:
-                        stop = i + 1
+            frames = errors = 0
+            while errors < cfg.min_errors and frames < cfg.max_frames:
+                batch = range(frames, min(frames + workers, cfg.max_frames))
+                for e in run(_frame_worker, [(cfg, point_idx, fi) for fi in batch]):
+                    frames += 1
+                    errors += e
+                    if errors >= cfg.min_errors:
                         break
-                next_frame = hi
-            frames = stop if stop is not None else len(per_frame)
-            errors = sum(per_frame[:frames])
             bits = frames * cfg.k * cfg.s * cfg.n
             records.append(BerRecord(
                 eb_n0_db=float(cfg.eb_n0_db[point_idx]), frames=frames, bits=bits,
@@ -472,9 +461,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exit(args) -> int:
     import pathlib
-    _check_ranges(positive={"l": args.l, "k": args.k, "samples": args.samples},
-                 s=args.s, eb_n0_db=args.eb_n0_db, seed=args.seed,
-                 chart=(args.s, args.l, args.k, args.samples))
+    # one sample has no standard error
+    _check_ranges(["samples must be >= 2"] if args.samples < 2 else (),
+                  positive={"l": args.l, "k": args.k}, s=args.s, eb_n0_db=args.eb_n0_db,
+                  seed=args.seed, chart=(args.s, args.l, args.k, args.samples))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"exit_s{args.s}_L{args.l}.csv"

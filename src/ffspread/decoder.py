@@ -22,9 +22,10 @@ and the hard decision uses the same marginalization on the total
 (all-positions) symbol LLR vector.  ``_CodeKernel`` implements both once,
 with two entry points: ``despread`` (prior chip LLRs -> extrinsic chip
 LLRs, each iteration) and ``total_bit_llrs`` (prior chip LLRs -> posterior
-bit LLRs, the final decision); ``ffdes_block`` is the public wrapper of
-``despread``.  Arrays are Q-major: each user's chip LLRs are an (L*s, N)
-array, one column per symbol group, laid out by ``codec.chip_slots``.
+bit LLRs, the hard decision, which the stop rule reads every iteration);
+``ffdes_block`` is the public wrapper of ``despread``.  Arrays are
+Q-major: each user's chip LLRs are an (L*s, N) array, one column per
+symbol group, laid out by ``codec.chip_slots``.
 The first two steps are linear: one matmul per user with a dense
 (L*2^s, L*s) map read off the field tables.  The EXIT analysis reads its
 per-sample mappers through one kernel, in chip-pattern coordinates
@@ -48,7 +49,8 @@ arithmetic on what it owns, so results are bit-identical for any thread
 count.  Each frame thread despreads in a workspace allocated once per
 frame, passed to ``despread`` as its optional buffer arguments, and both
 interleaver directions are gathers, through ``chip_slots`` and its
-inverse.  OpenBLAS threads would compete
+inverse.  The hard decision runs in the same per-user tasks, on the
+allocating ``total_bit_llrs``.  OpenBLAS threads would compete
 with these for the cores, so before the first threaded frame or EXIT
 point every OpenBLAS library loaded into the process is set to one
 thread, for the rest of the process; where none is found everything
@@ -149,9 +151,9 @@ class _CodeKernel:
         every position, relabeled by the spreading elements."""
         return np.matmul(self.ext_map, chip_llrs, out=out)
 
-    def total_llrs(self, chip_llrs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def total_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """(.., L*s, N) chip LLRs -> (.., Q, N) all-positions symbol LLRs."""
-        return np.matmul(self.tot_map, chip_llrs, out=out)
+        return self.tot_map @ chip_llrs
 
     def chip_llrs(self, sym_llrs: np.ndarray, out: np.ndarray | None = None,
                   peak: np.ndarray | None = None,
@@ -381,26 +383,6 @@ def _ese_all(y: np.ndarray, la_x: np.ndarray, amplitude: float, n0: float,
     return out
 
 
-def _count_flips(kern: _CodeKernel, x: np.ndarray, g: np.ndarray, marg: list,
-                 decided: np.ndarray) -> int:
-    """How many hard decisions read off the (L*s, N) chip priors ``x`` differ
-    from ``decided``, the (s, N) bool array (True for +1) that they replace.
-
-    A bit is decided +1 where its total posterior LLR is >= 0, as in the
-    final decision.  ``x`` is left as it is: the total symbol LLRs go to
-    ``g[0]`` and the bit LLRs to ``g[1, :s]``, and for s > 1 the
-    marginalization runs in the first (1, N) and (2s, N) blocks of ``marg``.
-    Where a class mass underflows this gives +/-inf, whose sign is
-    log-sum-exp's: the class holding the max has mass >= 1.
-    """
-    bits = kern.chip_llrs(kern.total_llrs(x, out=g[0]), g[1, :kern.s], *(b[0] for b in marg))
-    np.greater_equal(bits, 0.0, out=bits)
-    np.not_equal(bits, decided, out=decided)
-    flips = np.count_nonzero(decided)
-    np.not_equal(bits, 0.0, out=decided)
-    return flips
-
-
 @dataclass
 class DecodeResult:
     decisions: np.ndarray    # (K, s*N) decided info bits, +/-1
@@ -418,9 +400,9 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     All users update in parallel each iteration: ESE at every position,
     per-user deinterleaving, FF-DES per symbol group, then
     re-interleaving of the extrinsic chip LLRs into the next priors.
-    Initial priors are zero.  After the last iteration the hard decision
-    runs on the total symbol LLRs built from the final deinterleaved
-    chip priors.
+    Initial priors are zero.  In the last iteration each user's task reads
+    the hard decision, before its despread, off the total symbol LLRs of
+    its deinterleaved ESE output: the final chip priors.
 
     ``DAMPING`` blends the new priors with the previous ones
     (prior <- DAMPING * prior + (1 - DAMPING) * extrinsic).  It leaves
@@ -438,16 +420,16 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     hard decision has changed for m consecutive iterations (the
     hard-decision criterion of Shao, Lin and Fossorier, "Two simple
     stopping criteria for turbo decoding", IEEE Trans. Commun. 1999).
-    Iteration it's decisions are the signs of the total bit LLRs of the
-    deinterleaved ESE output that the decision after it would read; each
-    user's task counts how many differ from the previous iteration's, and
-    the main thread applies the rule once all users are done, so the stop
-    iteration is the same for any thread count.  The first iteration's
-    decisions have no predecessor, so a frame runs at least m + 1
-    iterations.  The decision reads the last ESE output, not the last
-    despread, so a frame that stops after j iterations returns the same
-    decisions, bit LLRs, trace and chip priors, bit for bit, as
-    ``iterations=j, stop_after=0``.  ``stop_after=0`` runs every iteration.
+    The rule then reads the decision in every iteration, not just the
+    last: each user's task counts how many of its bit signs differ from
+    its previous read and keeps the new one, and the main thread applies
+    the rule once all users are done, so the stop iteration is the same
+    for any thread count.  The first iteration's decisions have no
+    predecessor, so a frame runs at least m + 1 iterations.  The read of
+    the stop iteration is the returned decision, so a frame that stops
+    after j iterations returns the same decisions, bit LLRs, trace and
+    chip priors, bit for bit, as ``iterations=j, stop_after=0``.
+    ``stop_after=0`` runs every iteration and reads the decision once.
 
     A frame of at least ``THREAD_MIN_CHIPS`` chips runs on threads and
     sets OpenBLAS to one thread for the rest of the process (see the
@@ -457,9 +439,10 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     the gathered priors (L*s, N), the despread's (L, 2^s, N) matmul output,
     whose first 2T entries then hold the interleaved extrinsics and the
     trace's temporary, and for s > 1 the marginalization's max and class
-    masses.  The stop rule's decisions run in the same buffers before the
-    despread (the matmul output has at least two (2^s, N) blocks for them);
-    the only memory the rule adds is the (K, s, N) previous decisions.
+    masses.  The decision read allocates its own (2^s, N) and (s, N)
+    arrays and keeps log-sum-exp for underflowed class masses.  Each
+    user's latest read is kept in a (K, s, N) float array, which becomes
+    the returned bit LLRs and is the only memory the stop rule adds.
     Deinterleaving gathers through ``pos``, the (K, T) int64 inverse of
     ``chip_slots``, and interleaving through ``chip_slots``.
     Both use ``np.take(..., mode="clip")``: the default "raise" buffers the
@@ -499,21 +482,24 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     trace = np.zeros((iterations, K))
     if stop_after:
         flips = np.zeros((iterations, K), dtype=np.int64)  # decisions changed per user
-        decided = np.ones((K, s, N), dtype=bool)  # zero LLRs decide +1
-    # per thread, see the docstring; g[:L] holds T * 2^s / s >= 2T entries
-    work = [(np.empty(cols), np.empty((max(L, 2), 2**s, N)))
+    bits = np.zeros((K, s, N))  # each user's last decision read; zero decides +1
+    # per thread, see the docstring; g holds T * 2^s / s >= 2T entries
+    work = [(np.empty(cols), np.empty((L, 2**s, N)))
             + ((np.empty((L, 1, N)), np.empty((L, 2 * s, N))) if s > 1 else ())
             for _ in range(threads)]
 
     def update(users: range) -> None:
-        """Despread, re-interleave and damp ``users``; writes their rows only."""
+        """Decide, despread, re-interleave and damp ``users``; writes their rows only."""
         x, g, *marg = work[users.start]
-        extr, tmp = g[:L].reshape(-1)[:2 * T].reshape(2, T)
+        extr, tmp = g.reshape(-1)[:2 * T].reshape(2, T)
         for k in users:
             np.take(ese[k], pos[k], out=x.reshape(-1), mode="clip")
-            if stop_after:
-                flips[it, k] = _count_flips(kernels[k], x, g, marg, decided[k])
-            le = kernels[k].despread(x, g[:L], *marg)
+            if stop_after or it == iterations - 1:
+                read = kernels[k].total_bit_llrs(x)
+                if stop_after:
+                    flips[it, k] = np.count_nonzero((read >= 0) != (bits[k] >= 0))
+                bits[k] = read
+            le = kernels[k].despread(x, g, *marg)
             np.clip(le, -LLR_MAX, LLR_MAX, out=le)
             np.take(le.reshape(-1), slots[k], out=extr, mode="clip")
             if true_chips is not None:
@@ -530,15 +516,11 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
         _run_split(update, range(K), threads)
         if stop_after and it >= stop_after and not flips[it + 1 - stop_after:it + 1].any():
             break
-    trace = trace[:it + 1]
-
-    del work, pos, la_x  # freed before the decision's (K, T) arrays
-    la_c = np.empty((K, T))  # the last iteration's priors, deinterleaved
-    for k in range(K):
-        la_c[k][slots[k]] = ese[k]
-    bit_llrs = np.stack([kern.total_bit_llrs(la_c[k].reshape(cols)).T.reshape(-1)
-                         for k, kern in enumerate(kernels)])
-    decisions = np.where(bit_llrs >= 0, 1, -1).astype(np.int8)
-    chip_priors = la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T)
-    return DecodeResult(decisions=decisions, bit_llrs=bit_llrs, trace=trace,
+    del work, pos, la_x  # freed before the (K, T) chip priors
+    bit_llrs = bits.transpose(0, 2, 1).reshape(K, -1)
+    chip_priors = np.empty((K, T))  # the last iteration's priors, deinterleaved
+    for k, spec in enumerate(specs):
+        chip_priors[k][spec.interleaver.perm] = ese[k]
+    return DecodeResult(decisions=np.where(bit_llrs >= 0, 1, -1).astype(np.int8),
+                        bit_llrs=bit_llrs, trace=trace[:it + 1],
                         chip_priors=chip_priors, iterations=it + 1)

@@ -199,14 +199,13 @@ class SlopeReport:
     g_std: float
 
 
-def slope_report(s: int, L: int, oracle_mode: str = "auto",
-                 samples: int = 200_000, seed=0) -> SlopeReport:
-    """Closed form, oracle cross-check, and standard slope for one (s, L)."""
+def slope_report(s: int, L: int, samples: int = 200_000, seed=0) -> SlopeReport:
+    """Closed form, oracle cross-check (exact within ``EXACT_ENUM_BUDGET``,
+    else Monte Carlo) and standard slope for one (s, L)."""
     g = g_closed_form(s, L)                       # validates s and L
-    if oracle_mode == "auto":
-        oracle_mode = "exact" if _exact_count(s, L) <= EXACT_ENUM_BUDGET else "montecarlo"
+    mode = "exact" if _exact_count(s, L) <= EXACT_ENUM_BUDGET else "montecarlo"
     return SlopeReport(
         s=s, L=L, g_closed=g, g_closed_float=float(g),
-        g_oracle=g_oracle(s, L, mode=oracle_mode, samples=samples, seed=seed),
+        g_oracle=g_oracle(s, L, mode=mode, samples=samples, seed=seed),
         g_std=standard_slope(s, L),
     )

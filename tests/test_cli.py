@@ -367,7 +367,9 @@ class TestMainEntry:
                                        ["--eb_n0_db", "-3100"],
                                        # samples * (4 Eb/N0 / l)^2 overflows
                                        ["--s", "2", "--l", "2", "--k", "2", "--samples", "64",
-                                        "--eb_n0_db", "1600"]])
+                                        "--eb_n0_db", "1600"],
+                                       # a standard error needs two samples
+                                       ["--samples", "1"]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2

@@ -824,3 +824,50 @@ class TestStopRule:
         y, specs, params, _ = _frame(1, 1, 2, 8, 4.0, seed=64)
         with pytest.raises(ValueError, match="stop_after"):
             decode_frame(y, specs, params, stop_after=-1)
+
+
+class TestDecisionRead:
+    """The hard decision is read in each user's task, on the frame's threads."""
+
+    def test_threaded_stop_rule_reads_on_pool_threads(self, monkeypatch):
+        y, specs, params, chips = _frame(4, 2, 4, 600, 7.5, seed=65)
+        monkeypatch.setattr(decoder, "THREAD_MIN_CHIPS", 0)
+        monkeypatch.setattr(decoder, "_pin_blas", lambda: True)
+        idents = set()
+        total_bit_llrs = _CodeKernel.total_bit_llrs
+
+        def recorded(self, *args):
+            idents.add(threading.get_ident())
+            return total_bit_llrs(self, *args)
+
+        monkeypatch.setattr(_CodeKernel, "total_bit_llrs", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {}
+            for n in (1, 3):  # the users' rows of one shared read array
+                monkeypatch.setattr(decoder, "_cpu_share", lambda n=n: n)
+                idents.clear()
+                runs[n] = [decode_frame(y, specs, params, true_chips=tc, stop_after=3)
+                           for tc in (None, chips)]
+                assert len(idents) == 1 if n == 1 else len(idents) >= 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1][0].iterations < 50
+        for got, ref in zip(runs[3], runs[1]):
+            _assert_same_outputs(got, ref)
+
+    @pytest.mark.parametrize("stop_after", [0, 2])
+    def test_reads_once_per_user_per_iteration_with_the_rule(self, stop_after, monkeypatch):
+        y, specs, params, _ = _frame(3, 4, 8, 200, 4.0, seed=66)
+        calls = []
+        total_bit_llrs = _CodeKernel.total_bit_llrs
+
+        def recorded(self, *args):
+            calls.append(self)
+            return total_bit_llrs(self, *args)
+
+        monkeypatch.setattr(_CodeKernel, "total_bit_llrs", recorded)
+        got = decode_frame(y, specs, params, iterations=8, stop_after=stop_after)
+        # without the rule only the last iteration reads: once per user per frame
+        assert len(calls) == 3 * (got.iterations if stop_after else 1)
