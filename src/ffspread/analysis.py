@@ -26,7 +26,8 @@ Sampling is chunked (4096 samples per chunk, one child seed per chunk).
 The chunks are split round-robin over the decoder's thread pool, and
 their sums are added in chunk order once all have finished.  A chunk's
 values do not depend on how many threads run, so means, standard errors
-and CSVs are bit-identical for any thread count.
+and CSVs are bit-identical for any thread count.  The slope oracle's
+Monte-Carlo mode (``slope.g_oracle``) samples on the same ``_mc_mean``.
 """
 
 from __future__ import annotations

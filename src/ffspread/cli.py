@@ -184,12 +184,13 @@ def build_user_specs(cfg: RunConfig) -> list[UserCodeSpec]:
     return specs
 
 
-_SPEC_CACHE: dict = {}
+_SPEC_CACHE: dict = {}   # the latest sweep config's specs only
 
 
 def _cached_specs(cfg: RunConfig) -> list[UserCodeSpec]:
     key = (cfg.k, cfg.s, cfg.l, cfg.n, cfg.seed, cfg.mapper, cfg.sv)
     if key not in _SPEC_CACHE:
+        _SPEC_CACHE.clear()   # each config's K interleavers are T int64 entries
         _SPEC_CACHE[key] = build_user_specs(cfg)
     return _SPEC_CACHE[key]
 
@@ -284,9 +285,9 @@ def fit_slope(records: list[BerRecord], window=(1e-4, 1e-2)) -> float:
     lo, hi = window
     pts = [(10.0 ** (r.eb_n0_db / 10.0), math.log(r.ber))
            for r in records if r.ber > 0 and lo <= r.ber <= hi]
-    if len(pts) < 2:
+    if (distinct := len({x for x, _ in pts})) < 2:   # one Eb/N0 fixes no slope
         raise FitError(
-            f"need >= 2 records with BER in [{lo}, {hi}], found {len(pts)}"
+            f"need >= 2 distinct Eb/N0 values with BER in [{lo}, {hi}], found {distinct}"
         )
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])

@@ -259,7 +259,8 @@ def _pin_blas() -> bool:
     Returns whether one was found.  ffspread maps only numpy's copy, but
     a caller that imports scipy adds scipy's own, so every copy mapped is
     pinned.  The setting is process-wide and never changed back; it serves
-    threaded frames and threaded EXIT sampling alike.
+    threaded frames, threaded EXIT sampling and the threaded Monte-Carlo
+    slope oracle alike.
     """
     global _blas_pinned
     if _blas_pinned is None:

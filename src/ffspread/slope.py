@@ -18,7 +18,8 @@ Monte Carlo.  The enumeration lists one group's weight sums, one entry
 per realization of its L-1 draws, and takes the max over the Cartesian
 product of the 2^(s-1) independent groups: every joint realization
 appears once, with its max taken directly, so no CDF or power identity
-of the closed form is involved.
+of the closed form is involved.  Monte Carlo samples on the EXIT
+estimators' chunked sampler, bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from fractions import Fraction
 from math import comb, erfc, sqrt
 
 import numpy as np
+
+from .analysis import _mc_mean
 
 EXACT_ENUM_BUDGET = 10**7
 _erfc = np.vectorize(erfc, otypes=[np.float64])   # Eb/N0 lists are short
@@ -105,7 +108,12 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
     expectation, summed in integers, without the CDF-power identity the
     closed form rests on.
 
-    ``montecarlo`` samples the draws; ``samples`` must be >= 1.
+    ``montecarlo`` samples the draws on ``analysis._mc_mean`` (``seed``:
+    an int or a sequence of ints; ``samples`` >= 1), bit-identical for any
+    thread count.  A chunk draws one spreading position at a time, b *
+    2^(s-1) uint16 draws summed into int32 whatever L is, about 4 MiB per
+    thread at s = 8.  As for an EXIT point, the first threaded call sets
+    OpenBLAS to one thread for the process.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")
@@ -133,28 +141,13 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
         return OracleResult(value, "exact enumeration")
 
     if mode == "montecarlo":
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        rng = np.random.default_rng(seed)
-        chunk = 1 << 14
-        n_done, acc, acc2 = 0, 0.0, 0.0
-        while n_done < samples:
-            b = min(chunk, samples - n_done)
-            # (b, n_j, L-1) weights; the int64 draws are not held into the next chunk
-            w = weights.take(rng.integers(0, m, size=(b, n_j, L - 1)))
-            sums = w[:, :, 0].astype(np.int64)       # faster than sum(axis=2)
-            for i in range(1, L - 1):
-                sums += w[:, :, i]
-            vals = s * (L - 1) - sums.max(axis=1).astype(np.float64)
-            acc += vals.sum()
-            acc2 += (vals * vals).sum()
-            n_done += b
-        mean = acc / samples
-        if samples > 1:
-            var = max(acc2 - samples * mean * mean, 0.0) / (samples - 1)
-            se = float(np.sqrt(var / samples))
-        else:
-            se = float("nan")
+        def one_chunk(rng: np.random.Generator, b: int, _step: int) -> np.ndarray:
+            sums = np.zeros((b, n_j), np.int32)
+            for _ in range(L - 1):       # uint16 draws: m < 2^16 up to s = 16
+                sums += weights[rng.integers(0, m, size=(b, n_j), dtype=np.uint16)]
+            return s * (L - 1) - sums.max(axis=1).astype(np.float64)
+
+        mean, se = _mc_mean(one_chunk, samples, seed)
         return OracleResult(mean, "monte carlo", se)
 
     raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")

@@ -183,22 +183,24 @@ def reference_g_oracle_exact(s, L):
 
 
 def reference_g_oracle_montecarlo(s, L, samples, seed):
-    """Monte-Carlo slope (mean, standard error), drawn as the library draws
-    and summed by a plain ``sum(axis=2)`` over each group's draws."""
+    """Monte-Carlo slope (mean, standard error), drawn as the library draws:
+    4096-sample chunks, chunk c seeded ``(seed, c)``, one (b, 2^(s-1)) uint16
+    draw per spreading position, summed by a plain ``sum(axis=2)`` over each
+    group's draws; chunk sums are added in chunk order."""
     m = 2**s - 1
     n_j = 1 << (s - 1)
     weights = np.array([v.bit_count() for v in range(m)], dtype=np.int16)
-    rng = np.random.default_rng(seed)
-    chunk = 1 << 14
-    n_done, acc, acc2 = 0, 0.0, 0.0
-    while n_done < samples:
-        b = min(chunk, samples - n_done)
-        draws = rng.integers(0, m, size=(b, n_j, L - 1))
+    chunk = 1 << 12
+    acc, acc2 = 0.0, 0.0
+    for c in range(-(-samples // chunk)):
+        rng = np.random.default_rng((seed, c))
+        b = min(chunk, samples - c * chunk)
+        draws = np.stack([rng.integers(0, m, size=(b, n_j), dtype=np.uint16)
+                          for _ in range(L - 1)], axis=2)
         w = weights[draws].sum(axis=2, dtype=np.int64)    # (b, n_j)
         vals = s * (L - 1) - w.max(axis=1).astype(np.float64)
-        acc += vals.sum()
-        acc2 += (vals * vals).sum()
-        n_done += b
+        acc += float(vals.sum())
+        acc2 += float((vals * vals).sum())
     mean = acc / samples
     if samples > 1:
         var = max(acc2 - samples * mean * mean, 0.0) / (samples - 1)

@@ -24,18 +24,6 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.fixture
-def cpu_share(monkeypatch):
-    """Sets the usable CPUs per process, and so the EXIT sampling threads."""
-    if not decoder._pin_blas():
-        pytest.skip("no OpenBLAS to pin: EXIT sampling stays serial")
-
-    def set_share(n: int) -> None:
-        monkeypatch.setattr(decoder, "_cpu_share", lambda: n)
-        assert decoder._task_threads(n) == n
-    return set_share
-
-
 class TestFfdesExact:
     def test_zero_prior_gives_zero(self):
         m_e, se = exit_ffdes_exact(0.0, 2, 8, samples=500, seed=0)

@@ -159,8 +159,11 @@ class TestFitSlope:
         assert slope == pytest.approx(want)
 
     def test_too_few_points(self):
-        with pytest.raises(FitError, match=">= 2"):
-            fit_slope([BerRecord(0.0, 1, 100, 0, 1e-3, 0.0)])
+        one_record = [BerRecord(0.0, 1, 100, 0, 1e-3, 0.0)]
+        one_eb_n0 = [BerRecord(5.0, 1, 100, 0, 1e-2, 0.0), BerRecord(5.0, 1, 100, 0, 1e-3, 0.0)]
+        for records in (one_record, one_eb_n0):
+            with pytest.raises(FitError, match=">= 2"):
+                fit_slope(records)
 
     def test_zero_ber_left_out(self):
         records = [BerRecord(3.0, 1, 100, 0, 1e-3, 0.0),
@@ -236,6 +239,13 @@ class TestBerSweep:
         monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
         run_ber_sweep(RunConfig(workers=4, **base))
         assert len(pools) == 1  # a single usable CPU decodes in-process
+
+    def test_spec_cache_keeps_the_latest_config(self):
+        base = dict(k=2, s=1, l=2, n=64, eb_n0_db=(2.0,), iterations=1,
+                    min_errors=1, max_frames=1, workers=1)
+        run_ber_sweep(RunConfig(seed=1, **base))
+        run_ber_sweep(RunConfig(seed=2, **base))
+        assert len(cli._SPEC_CACHE) == 1
 
     def test_worker_processes_after_threaded_frame(self, tmp_path):
         # The parent's decode pool exists when the sweep forks its workers;

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ffspread import analysis
 from ffspread.cli import write_prediction, write_slope_table
 from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, g_closed_form, g_oracle,
                             predict_ber, slope_report, standard_slope,
@@ -116,9 +118,41 @@ class TestOracle:
 
     @pytest.mark.parametrize("s, L, seed", [(4, 8, 3), (4, 8, 1), (2, 8, 1)])
     def test_montecarlo_matches_reference_sums(self, s, L, seed):
-        # 100_003 samples: six full chunks and a partial one
+        # 100_003 samples: 24 full chunks and a partial one
         res = g_oracle(s, L, mode="montecarlo", samples=100_003, seed=seed)
         assert (res.value, res.std_error) == reference_g_oracle_montecarlo(s, L, 100_003, seed)
+
+    def test_montecarlo_same_on_one_and_two_threads(self, cpu_share):
+        results = []
+        for n in (1, 2):
+            cpu_share(n)
+            res = g_oracle(4, 8, mode="montecarlo", samples=3 * analysis.CHUNK + 17, seed=5)
+            results.append((res.value, res.std_error))
+        assert results[0] == results[1]
+
+    def test_montecarlo_chunks_run_on_the_pool(self, cpu_share, monkeypatch):
+        threads = set()
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            threads.add(threading.get_ident())
+            return default_rng(seed)
+        cpu_share(2)
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        g_oracle(4, 8, mode="montecarlo", samples=4 * analysis.CHUNK, seed=5)
+        assert len(threads) >= 2
+
+    def test_montecarlo_memory_is_bounded(self, cpu_share):
+        # the whole (16384, 128, 15) chunk of int64 draws peaked at 300 MiB;
+        # now each of the 4 chunks' threads holds about 4 MiB
+        cpu_share(4)
+        tracemalloc.start()
+        try:
+            g_oracle(8, 16, mode="montecarlo", samples=16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 << 20
 
     def test_exact_enumeration_memory(self):
         # 7^8 joint realizations; the digit-by-digit enumeration peaked at 176 MiB
