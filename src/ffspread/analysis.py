@@ -26,13 +26,19 @@ Sampling is chunked (4096 samples per chunk, one child seed per chunk).
 The chunks are split round-robin over the decoder's thread pool, and
 their sums are added in chunk order once all have finished.  A chunk's
 values do not depend on how many threads run, so means, standard errors
-and CSVs are bit-identical for any thread count.  The slope oracle's
-Monte-Carlo mode (``slope.g_oracle``) samples on the same ``_mc_mean``.
+and CSVs are bit-identical for any thread count.  Each thread computes
+its sub-batches in one workspace per point: a single block, carved into
+views that the sub-batch arrays are written into with ``out=``.  The
+sampler thus allocates no sub-batch temporaries of kernel size, which
+would sit at the allocator's mmap threshold and be page-faulted afresh.
+The slope oracle's Monte-Carlo mode (``slope.g_oracle``) samples on the
+same ``_mc_mean``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +47,10 @@ from .decoder import _CodeKernel, _lse, _run_split, _task_threads
 from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
-# float64 entries of the per-sample arrays that all concurrent sub-batches
-# hold at once, e.g. the (p, L, Q) gathers of each thread's p samples:
-# 2 MiB per array across the threads
+# float64 entries of one per-sample array of all concurrent sub-batches,
+# e.g. the (p, L, Q) gathers of each thread's p samples: 2 MiB across the
+# threads.  Each thread's workspace holds three such arrays for
+# exit_ffdes_exact and two for exit_ffdes_approx: 6 and 4 MiB in all.
 KERNEL_ENTRIES = 1 << 18
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
 TUNNEL_ROUNDS = 2000  # most rounds of tunnel_check's recursion
@@ -76,10 +83,11 @@ def _seed_tuple(seed, *tags: int) -> tuple[int, ...]:
     return base + tuple(int(t) for t in tags)
 
 
-def _mc_mean(sample_fn, samples: int, seed, entries: int = 0) -> tuple[float, float]:
+def _mc_mean(sampler, samples: int, seed, entries: int = 0) -> tuple[float, float]:
     """Chunked Monte-Carlo mean and standard error of a per-sample statistic.
 
-    ``sample_fn(rng, b, step)`` returns a chunk's b values, computed in
+    ``sampler(step)`` runs once per thread and returns that thread's
+    ``one_chunk(rng, b)``, which gives a chunk's b values, computed in
     sub-batches of ``step`` samples.  With ``entries`` per-sample entries,
     ``step`` keeps the sub-batches of all threads within ``KERNEL_ENTRIES``.
     """
@@ -91,9 +99,10 @@ def _mc_mean(sample_fn, samples: int, seed, entries: int = 0) -> tuple[float, fl
     sums = [(0.0, 0.0)] * chunks   # (sum, sum of squares) of each chunk
 
     def run(part: range) -> None:
+        one_chunk = sampler(step)
         for c in part:
             rng = np.random.default_rng(_seed_tuple(seed, c))
-            vals = sample_fn(rng, min(CHUNK, samples - c * CHUNK), step)
+            vals = one_chunk(rng, min(CHUNK, samples - c * CHUNK))
             sums[c] = float(vals.sum()), float((vals * vals).sum())
 
     _run_split(run, range(chunks), threads)
@@ -110,18 +119,46 @@ def _mc_mean(sample_fn, samples: int, seed, entries: int = 0) -> tuple[float, fl
     return mean, se
 
 
-def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x) -> np.ndarray:
+def _workspace(*sizes: int) -> list[np.ndarray]:
+    """Flat float64 regions of ``sizes`` entries, carved from one block."""
+    return np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+
+
+def _shaped(region: np.ndarray, dtype, *shape: int) -> np.ndarray:
+    """The C-contiguous ``shape`` array of ``dtype`` at the start of ``region``."""
+    return region.view(dtype)[:math.prod(shape)].reshape(shape)
+
+
+def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
+                      ws: list[np.ndarray] | None = None) -> np.ndarray:
     """(p, s, 1) total bit LLRs of (p, s, L) chips ``x``; sample b maps chip
     pattern v to element ``forward[b, v]``, ``pattern[b]`` is the inverse and
     ``sv[b]`` spreads.  With P the natural-mapper ``kern``'s symbol LLRs, the
     total in pattern coordinates, t[v] = sum_i P[pattern[forward[v] * s_i], i],
-    is the sample's own total plus a constant, which marginalization cancels."""
-    L = x.shape[-1]
-    off = np.arange(len(x))[:, None] * field.q                                # (p, 1)
-    lsym = np.take(kern.symbol_llrs(x).reshape(-1, L), pattern + off, axis=0)  # (p, Q, L)
-    cols = np.multiply(field.mul_table[sv], L, dtype=np.int64)                # (p, L, Q)
+    is the sample's own total plus a constant, which marginalization cancels.
+
+    Everything before the marginalization is computed into ``ws``, three
+    regions of p*L*Q entries (made here if not given).  Each array goes to
+    a region whose contents have been read, so ``pattern`` may sit at the
+    start of the first region and ``x`` at the start of the second.
+    ``take`` clips its in-range indices: a bounds-checked ``take`` buffers
+    its ``out``.
+    """
+    p, L, q = len(x), x.shape[-1], field.q
+    a, b, c = ws or _workspace(*[p * L * q] * 3)
+    off = np.arange(p)[:, None] * q                                          # (p, 1)
+    idx = np.add(pattern, off, out=_shaped(c, np.int64, p, q))
+    sym = kern.symbol_llrs(x, out=_shaped(a, np.float64, p, q, L))
+    lsym = np.take(sym.reshape(-1, L), idx, axis=0, mode="clip",
+                   out=_shaped(b, np.float64, p, q, L))                      # (p, Q, L)
+    elems = np.take(field.mul_table, sv, axis=0, mode="clip", out=_shaped(a, np.int16, p, L, q))
+    cols = np.multiply(elems, L, out=_shaped(c, np.int64, p, L, q), dtype=np.int64)
     cols += (off * L + np.arange(L))[:, :, None]
-    return kern.chip_llrs(np.take(np.take(lsym, cols).sum(axis=1), forward + off)[..., None])
+    gathered = np.take(lsym, cols, mode="clip", out=_shaped(a, np.float64, p, L, q))
+    tot = np.sum(gathered, axis=1, out=_shaped(b, np.float64, p, q))
+    idx = np.add(forward, off, out=_shaped(c, np.int64, p, q))
+    return kern.chip_llrs(np.take(tot, idx, mode="clip",
+                                  out=_shaped(a, np.float64, p, q))[..., None])
 
 
 def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
@@ -134,7 +171,8 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     decision path: position l's extrinsic symbol LLR, sum_{i != l}
     lsym[lam * s_i / s_l, i], is the total after relabeling s_i -> s_i / s_l
     (so s_l -> 1) with position l's prior chips, hence lsym[., l], zeroed.
-    One kernel reads all samples (``_pattern_bit_llrs``) in sub-batches, bounding memory.
+    One kernel reads all samples (``_pattern_bit_llrs``) in sub-batches, each
+    thread in its own workspace, bounding memory.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -144,38 +182,46 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     sigma = np.sqrt(2.0 * m_a)
     kern = _CodeKernel(field, basis, np.ones(L, dtype=np.int64))  # the natural mapper
 
-    def one_chunk(rng: np.random.Generator, b: int, step: int) -> np.ndarray:
-        forward = rng.permuted(np.tile(np.arange(q, dtype=np.int16), (b, 1)), axis=1)
-        sv = rng.integers(1, q, size=(b, L))
-        beta = rng.integers(0, q, size=b)
-        gamma = field.mul_table[beta[:, None], sv]
-        h = rng.normal(m_a, sigma, size=(b, L, s))
-        li = rng.integers(0, L, size=b)
-        ni = rng.integers(0, s, size=b)
-        # read position li through the total: its prior zeroed, s_li relabeled to 1
-        h[np.arange(b), li] = 0.0
-        sv = field.mul_table[sv, field.inv_table[sv[np.arange(b), li]][:, None]]
-        vals = np.empty(b)
-        for lo in range(0, b, step):
-            part = slice(lo, lo + step)
-            rows = np.arange(min(step, b - lo))
-            pattern = np.empty_like(forward[part])                    # pattern[forward[v]] = v
-            np.put_along_axis(pattern, forward[part], np.arange(q, dtype=np.int16), axis=1)
-            chips = basis[np.take_along_axis(pattern, gamma[part], axis=1)]  # (p, L, s)
-            x = np.ascontiguousarray(np.swapaxes(chips * h[part], 1, 2))    # (p, s, L)
-            ext = _pattern_bit_llrs(kern, field, forward[part], pattern, sv[part], x)
-            vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], 0]
-        return vals
+    def sampler(step: int):
+        p = min(step, CHUNK)
+        ws = _workspace(*[p * L * q] * 3)
 
-    return _mc_mean(one_chunk, samples, seed, entries=L * q)
+        def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
+            forward = np.tile(np.arange(q, dtype=np.int16), (b, 1))
+            rng.permuted(forward, axis=1, out=forward)
+            sv = rng.integers(1, q, size=(b, L))
+            beta = rng.integers(0, q, size=b)
+            gamma = field.mul_table[beta[:, None], sv]
+            h = rng.normal(m_a, sigma, size=(b, L, s))
+            li = rng.integers(0, L, size=b)
+            ni = rng.integers(0, s, size=b)
+            # read position li through the total: its prior zeroed, s_li relabeled to 1
+            h[np.arange(b), li] = 0.0
+            sv = field.mul_table[sv, field.inv_table[sv[np.arange(b), li]][:, None]]
+            vals = np.empty(b)
+            for lo in range(0, b, step):
+                part = slice(lo, lo + step)
+                rows = np.arange(min(step, b - lo))
+                pattern = _shaped(ws[0], np.int16, len(rows), q)   # pattern[forward[v]] = v
+                np.put_along_axis(pattern, forward[part], np.arange(q, dtype=np.int16), axis=1)
+                chips = basis[np.take_along_axis(pattern, gamma[part], axis=1)]  # (p, L, s)
+                x = np.multiply(chips.swapaxes(1, 2), h[part].swapaxes(1, 2),
+                                out=_shaped(ws[1], np.float64, len(rows), s, L))
+                ext = _pattern_bit_llrs(kern, field, forward[part], pattern, sv[part], x, ws)
+                vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], 0]
+            return vals
+        return one_chunk
+
+    return _mc_mean(sampler, samples, seed, entries=L * q)
 
 
 def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
                       seed=0) -> tuple[float, float]:
     """Upper-bound approximation of the despreader transfer point.
 
-    The closed form runs in sub-batches of a chunk's draws, so its
-    (p, Q, L-1) temporaries stay within ``KERNEL_ENTRIES``.
+    The closed form runs in sub-batches of a chunk's draws, each thread in
+    its own workspace: the (p, L-1, Q) dot products, and the flat indices
+    and terms of the sums they are gathered into, of half that size each.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -184,22 +230,39 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     sigma = np.sqrt(2.0 * m_a)
     bits01 = ((_sign_basis(s) + 1) // 2).astype(np.float64)      # (Q, s) 0/1 rows
 
-    def one_chunk(rng: np.random.Generator, b: int, step: int) -> np.ndarray:
-        r_idx = rng.integers(0, q - 1, size=(b, n_j, L - 1))      # excludes all-ones
-        rp_idx = rng.integers(1, q, size=(b, n_j - 1, L - 1))     # excludes all-zeros
-        h = rng.normal(m_a, sigma, size=(b, L - 1, s))
-        vals = np.empty(b)
-        for lo in range(0, b, step):
-            part = slice(lo, lo + step)
-            dots_t = np.swapaxes(h[part] @ bits01.T, 1, 2)            # (p, Q, L-1)
-            su = np.take_along_axis(dots_t, r_idx[part], axis=1).sum(axis=2)  # (p, n_j)
-            vals[part] = s * (L - 1) * m_a - _lse(su)
-            if n_j > 1:
-                sp = np.take_along_axis(dots_t, rp_idx[part], axis=1).sum(axis=2)
-                vals[part] += np.logaddexp(0.0, _lse(-sp))
-        return vals
+    def sampler(step: int):
+        p = min(step, CHUNK)
+        g = p * n_j * (L - 1)
+        dots_ws, idx_ws, sel_ws, su_ws, sp_ws = _workspace(p * (L - 1) * q, g, g,
+                                                           p * n_j, p * (n_j - 1))
+        # flat offsets of the (p, L-1, Q) dots' rows: sample b, position l
+        b_off, l_off = np.arange(p)[:, None, None] * ((L - 1) * q), np.arange(L - 1) * q
 
-    return _mc_mean(one_chunk, samples, seed, entries=(L - 1) * q)
+        def gather_sum(dots: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+            """out[b, j] = sum_l dots[b, l, idx[b, j, l]], gathered in the workspace."""
+            flat = np.add(idx, l_off, out=_shaped(idx_ws, np.int64, *idx.shape))
+            flat += b_off[:len(idx)]
+            sel = np.take(dots, flat, out=_shaped(sel_ws, np.float64, *idx.shape), mode="clip")
+            return np.sum(sel, axis=2, out=out)
+
+        def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
+            r_idx = rng.integers(0, q - 1, size=(b, n_j, L - 1))      # excludes all-ones
+            rp_idx = rng.integers(1, q, size=(b, n_j - 1, L - 1))     # excludes all-zeros
+            h = rng.normal(m_a, sigma, size=(b, L - 1, s))
+            vals = np.empty(b)
+            for lo in range(0, b, step):
+                part = slice(lo, lo + step)
+                n = min(step, b - lo)
+                dots = np.matmul(h[part], bits01.T, out=_shaped(dots_ws, np.float64, n, L - 1, q))
+                su = gather_sum(dots, r_idx[part], _shaped(su_ws, np.float64, n, n_j))
+                vals[part] = s * (L - 1) * m_a - _lse(su)
+                if n_j > 1:
+                    sp = gather_sum(dots, rp_idx[part], _shaped(sp_ws, np.float64, n, n_j - 1))
+                    vals[part] += np.logaddexp(0.0, _lse(-sp))
+            return vals
+        return one_chunk
+
+    return _mc_mean(sampler, samples, seed, entries=(L - 1) * q)
 
 
 def exit_ese(m_a: float, eb_n0: float, K: int, L: int, samples: int = 100_000,
@@ -213,12 +276,12 @@ def exit_ese(m_a: float, eb_n0: float, K: int, L: int, samples: int = 100_000,
         raise ValueError("eb_n0 must be > 0 (linear ratio)")
     sigma = np.sqrt(m_a / 2.0)
 
-    def one_chunk(rng: np.random.Generator, b: int, _step: int) -> np.ndarray:
+    def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
         h = rng.normal(m_a / 2.0, sigma, size=(b, K - 1))
         t = np.tanh(h)
         return 4.0 / (2.0 * (1.0 - t * t).sum(axis=1) + L / eb_n0)
 
-    return _mc_mean(one_chunk, samples, seed)
+    return _mc_mean(lambda step: one_chunk, samples, seed)
 
 
 def _curve(point_fn, grid, samples, seed) -> ExitCurve:

@@ -141,9 +141,9 @@ class _CodeKernel:
         row lam, column (i, m) holds ``w[lam * s_i, m]``."""
         return np.ascontiguousarray(self.w[self.field.mul_table[:, self.sv]].reshape(self.q, -1))
 
-    def symbol_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
+    def symbol_llrs(self, chip_llrs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(.., s, L) chip LLRs -> (.., Q, L) a-priori symbol LLR vectors."""
-        return self.w @ chip_llrs
+        return np.matmul(self.w, chip_llrs, out=out)
 
     def extrinsic_symbol_llrs(self, chip_llrs: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:

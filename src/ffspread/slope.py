@@ -141,13 +141,13 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
         return OracleResult(value, "exact enumeration")
 
     if mode == "montecarlo":
-        def one_chunk(rng: np.random.Generator, b: int, _step: int) -> np.ndarray:
+        def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
             sums = np.zeros((b, n_j), np.int32)
             for _ in range(L - 1):       # uint16 draws: m < 2^16 up to s = 16
                 sums += weights[rng.integers(0, m, size=(b, n_j), dtype=np.uint16)]
             return s * (L - 1) - sums.max(axis=1).astype(np.float64)
 
-        mean, se = _mc_mean(one_chunk, samples, seed)
+        mean, se = _mc_mean(lambda step: one_chunk, samples, seed)
         return OracleResult(mean, "monte carlo", se)
 
     raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")

@@ -1,4 +1,5 @@
 import csv
+import threading
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,62 @@ class TestFfdesApprox:
         vals = [exit_ffdes_approx(g, 4, 8, samples=SAMPLES, seed=8)[0]
                 for g in (0.0, 0.5, 2.0, 8.0, 20.0)]
         assert np.all(np.diff(vals) > 0)
+
+
+class TestPinnedStreams:
+    """(mean, se) reprs of fixed points: a change to any estimator's draws or
+    arithmetic, even in the last bit, shows here."""
+
+    EXACT = {
+        (4, 8, 0.5): "(3.1958810186181434, 0.029044208772287795)",
+        (4, 8, 8.0): "(86.00857634983046, 0.17303912699447505)",
+        (4, 8, 40.0): "(445.42989492771983, 0.6778501111368491)",
+        (6, 8, 2.0): "(23.867193816636874, 0.07379756957937812)",
+    }
+    APPROX = {
+        (4, 8, 0.5): "(3.3079951304495667, 0.03954945063468691)",
+        (4, 8, 8.0): "(89.55627861708986, 0.18869672017769515)",
+        (4, 8, 40.0): "(463.55534458411984, 0.6644888052818195)",
+        (6, 8, 2.0): "(24.27736711546207, 0.09576217777746017)",
+    }
+    ESE = {
+        (4, 8, 0.5): "(0.3163350148392472, 0.0003276463910067527)",
+        (4, 8, 8.0): "(1.7517119139522306, 0.006007319420074574)",
+        (4, 8, 40.0): "(2.499823809306312, 0.00011253994551223718)",
+        (6, 8, 2.0): "(0.536657149287411, 0.0015897366183307688)",
+    }
+
+    @pytest.mark.parametrize("s,L,m_a", list(EXACT))
+    def test_exact(self, s, L, m_a):
+        assert repr(exit_ffdes_exact(m_a, s, L, 8192, seed=11)) == self.EXACT[s, L, m_a]
+
+    @pytest.mark.parametrize("s,L,m_a", list(APPROX))
+    def test_approx(self, s, L, m_a):
+        assert repr(exit_ffdes_approx(m_a, s, L, 8192, seed=12)) == self.APPROX[s, L, m_a]
+
+    @pytest.mark.parametrize("s,L,m_a", list(ESE))
+    def test_ese(self, s, L, m_a):
+        assert repr(exit_ese(m_a, 5.0, 8, L, 8192, seed=13)) == self.ESE[s, L, m_a]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("point", [exit_ffdes_exact, exit_ffdes_approx])
+    def test_one_sampler_call_per_thread_and_point(self, point, cpu_share, monkeypatch):
+        calls = []
+        mc_mean = analysis._mc_mean
+
+        def counted(sampler, *args, **kwargs):
+            def per_thread(step):
+                calls[-1].append(threading.get_ident())
+                return sampler(step)
+            return mc_mean(per_thread, *args, **kwargs)
+        monkeypatch.setattr(analysis, "_mc_mean", counted)
+        for threads in (1, 2):
+            cpu_share(threads)
+            for m_a in (0.5, 2.0):
+                calls.append([])
+                point(m_a, 3, 4, samples=3 * analysis.CHUNK, seed=1)
+                assert len(calls[-1]) == len(set(calls[-1])) == threads
 
 
 class TestThreadCount:
