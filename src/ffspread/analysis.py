@@ -246,8 +246,9 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
             return np.sum(sel, axis=2, out=out)
 
         def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-            r_idx = rng.integers(0, q - 1, size=(b, n_j, L - 1))      # excludes all-ones
-            rp_idx = rng.integers(1, q, size=(b, n_j - 1, L - 1))     # excludes all-zeros
+            # uint16 draws: q - 1 < 2^16 up to s = 16
+            r_idx = rng.integers(0, q - 1, size=(b, n_j, L - 1), dtype=np.uint16)  # no all-ones
+            rp_idx = rng.integers(1, q, size=(b, n_j - 1, L - 1), dtype=np.uint16)  # no all-zeros
             h = rng.normal(m_a, sigma, size=(b, L - 1, s))
             vals = np.empty(b)
             for lo in range(0, b, step):

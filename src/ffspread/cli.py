@@ -128,8 +128,9 @@ def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = 
         found.append("seed must be >= 0")
     if chart is not None and 1 <= chart[0] <= MAX_DEGREE:
         c_s, c_l, c_k, _ = chart
-        # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) indices, exact's
-        # (CHUNK, l, s) priors and the signal estimator's (CHUNK, k-1) priors
+        # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) uint16 indices
+        # (2 bytes each), exact's (CHUNK, l, s) float64 priors and the signal
+        # estimator's (CHUNK, k-1) float64 priors
         draw = analysis.CHUNK * max(2 ** (c_s - 1) * (c_l - 1), c_s * c_l, c_k - 1)
         if draw > MAX_DESPREAD_ENTRIES:
             found.append(f"one EXIT chunk draws {draw} entries, above the budget "
