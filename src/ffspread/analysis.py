@@ -220,8 +220,9 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     """Upper-bound approximation of the despreader transfer point.
 
     The closed form runs in sub-batches of a chunk's draws, each thread in
-    its own workspace: the (p, L-1, Q) dot products, and the flat indices
-    and terms of the sums they are gathered into, of half that size each.
+    its own workspace: the (p, L-1, Q) dot products, the flat indices and
+    terms of the sums gathered from them (half that size each), and the
+    sums, first su, then sp.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -233,8 +234,7 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     def sampler(step: int):
         p = min(step, CHUNK)
         g = p * n_j * (L - 1)
-        dots_ws, idx_ws, sel_ws, su_ws, sp_ws = _workspace(p * (L - 1) * q, g, g,
-                                                           p * n_j, p * (n_j - 1))
+        dots_ws, idx_ws, sel_ws, sums_ws = _workspace(p * (L - 1) * q, g, g, p * n_j)
         # flat offsets of the (p, L-1, Q) dots' rows: sample b, position l
         b_off, l_off = np.arange(p)[:, None, None] * ((L - 1) * q), np.arange(L - 1) * q
 
@@ -255,10 +255,10 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
                 part = slice(lo, lo + step)
                 n = min(step, b - lo)
                 dots = np.matmul(h[part], bits01.T, out=_shaped(dots_ws, np.float64, n, L - 1, q))
-                su = gather_sum(dots, r_idx[part], _shaped(su_ws, np.float64, n, n_j))
+                su = gather_sum(dots, r_idx[part], _shaped(sums_ws, np.float64, n, n_j))
                 vals[part] = s * (L - 1) * m_a - _lse(su)
                 if n_j > 1:
-                    sp = gather_sum(dots, rp_idx[part], _shaped(sp_ws, np.float64, n, n_j - 1))
+                    sp = gather_sum(dots, rp_idx[part], _shaped(sums_ws, np.float64, n, n_j - 1))
                     vals[part] += np.logaddexp(0.0, _lse(-sp))
             return vals
         return one_chunk
