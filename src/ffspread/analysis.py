@@ -89,13 +89,15 @@ def _mc_mean(sampler, samples: int, seed, entries: int = 0) -> tuple[float, floa
     ``sampler(step)`` runs once per thread and returns that thread's
     ``one_chunk(rng, b)``, which gives a chunk's b values, computed in
     sub-batches of ``step`` samples.  With ``entries`` per-sample entries,
-    ``step`` keeps the sub-batches of all threads within ``KERNEL_ENTRIES``.
+    ``step`` keeps the sub-batches of all threads within ``KERNEL_ENTRIES``;
+    it is at most one chunk and at most ``samples``, so a workspace sized
+    from it holds no row that is never used.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     chunks = -(-samples // CHUNK)
     threads = _task_threads(chunks)
-    step = max(1, KERNEL_ENTRIES // max(1, entries * threads))
+    step = min(max(1, KERNEL_ENTRIES // max(1, entries * threads)), CHUNK, samples)
     sums = [(0.0, 0.0)] * chunks   # (sum, sum of squares) of each chunk
 
     def run(part: range) -> None:
@@ -130,7 +132,7 @@ def _shaped(region: np.ndarray, dtype, *shape: int) -> np.ndarray:
 
 
 def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
-                      ws: list[np.ndarray] | None = None) -> np.ndarray:
+                      ws: list[np.ndarray]) -> np.ndarray:
     """(p, s, 1) total bit LLRs of (p, s, L) chips ``x``; sample b maps chip
     pattern v to element ``forward[b, v]``, ``pattern[b]`` is the inverse and
     ``sv[b]`` spreads.  With P the natural-mapper ``kern``'s symbol LLRs, the
@@ -138,14 +140,14 @@ def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
     is the sample's own total plus a constant, which marginalization cancels.
 
     Everything before the marginalization is computed into ``ws``, three
-    regions of p*L*Q entries (made here if not given).  Each array goes to
+    regions of at least p*L*Q entries.  Each array goes to
     a region whose contents have been read, so ``pattern`` may sit at the
     start of the first region and ``x`` at the start of the second.
     ``take`` clips its in-range indices: a bounds-checked ``take`` buffers
     its ``out``.
     """
     p, L, q = len(x), x.shape[-1], field.q
-    a, b, c = ws or _workspace(*[p * L * q] * 3)
+    a, b, c = ws
     off = np.arange(p)[:, None] * q                                          # (p, 1)
     idx = np.add(pattern, off, out=_shaped(c, np.int64, p, q))
     sym = kern.symbol_llrs(x, out=_shaped(a, np.float64, p, q, L))
@@ -183,8 +185,7 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     kern = _CodeKernel(field, basis, np.ones(L, dtype=np.int64))  # the natural mapper
 
     def sampler(step: int):
-        p = min(step, CHUNK)
-        ws = _workspace(*[p * L * q] * 3)
+        ws = _workspace(*[step * L * q] * 3)
 
         def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
             forward = np.tile(np.arange(q, dtype=np.int16), (b, 1))
@@ -220,9 +221,9 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     """Upper-bound approximation of the despreader transfer point.
 
     The closed form runs in sub-batches of a chunk's draws, each thread in
-    its own workspace: the (p, L-1, Q) dot products, the flat indices and
-    terms of the sums gathered from them (half that size each), and the
-    sums, first su, then sp.
+    its own workspace: the (p, L-1, Q) dot products, and the flat indices
+    and terms of the sums gathered from them (half that size each).  The
+    sums, first su, then sp, overwrite the indices they were gathered with.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -232,18 +233,19 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     bits01 = ((_sign_basis(s) + 1) // 2).astype(np.float64)      # (Q, s) 0/1 rows
 
     def sampler(step: int):
-        p = min(step, CHUNK)
-        g = p * n_j * (L - 1)
-        dots_ws, idx_ws, sel_ws, sums_ws = _workspace(p * (L - 1) * q, g, g, p * n_j)
-        # flat offsets of the (p, L-1, Q) dots' rows: sample b, position l
-        b_off, l_off = np.arange(p)[:, None, None] * ((L - 1) * q), np.arange(L - 1) * q
+        g = step * n_j * (L - 1)
+        # the indices' region also holds the sums: step * n_j entries, even at L = 1
+        dots_ws, idx_ws, sel_ws = _workspace(step * (L - 1) * q, max(g, step * n_j), g)
+        # flat offsets of the (step, L-1, Q) dots' rows: sample b, position l
+        b_off, l_off = np.arange(step)[:, None, None] * ((L - 1) * q), np.arange(L - 1) * q
 
-        def gather_sum(dots: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-            """out[b, j] = sum_l dots[b, l, idx[b, j, l]], gathered in the workspace."""
+        def gather_sum(dots: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            """sum_l dots[b, l, idx[b, j, l]], gathered in the workspace; the sums
+            overwrite the flat indices."""
             flat = np.add(idx, l_off, out=_shaped(idx_ws, np.int64, *idx.shape))
             flat += b_off[:len(idx)]
             sel = np.take(dots, flat, out=_shaped(sel_ws, np.float64, *idx.shape), mode="clip")
-            return np.sum(sel, axis=2, out=out)
+            return np.sum(sel, axis=2, out=_shaped(idx_ws, np.float64, *idx.shape[:2]))
 
         def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
             # uint16 draws: q - 1 < 2^16 up to s = 16
@@ -255,10 +257,10 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
                 part = slice(lo, lo + step)
                 n = min(step, b - lo)
                 dots = np.matmul(h[part], bits01.T, out=_shaped(dots_ws, np.float64, n, L - 1, q))
-                su = gather_sum(dots, r_idx[part], _shaped(sums_ws, np.float64, n, n_j))
+                su = gather_sum(dots, r_idx[part])
                 vals[part] = s * (L - 1) * m_a - _lse(su)
                 if n_j > 1:
-                    sp = gather_sum(dots, rp_idx[part], _shaped(sums_ws, np.float64, n, n_j - 1))
+                    sp = gather_sum(dots, rp_idx[part])
                     vals[part] += np.logaddexp(0.0, _lse(-sp))
             return vals
         return one_chunk

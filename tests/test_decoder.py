@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffspread import decoder
-from ffspread.analysis import _pattern_bit_llrs, exit_ffdes_exact
+from ffspread.analysis import _pattern_bit_llrs, _workspace, exit_ffdes_exact
 from ffspread.channel import ChannelParams, transmit
 from ffspread.codec import (SpreadingVector, UserCodeSpec, encode_user,
                             make_interleaver, ones_spreading,
@@ -35,8 +35,9 @@ def _read_in_pattern_coordinates(field, mappers, sv, chips):
     of ``sv`` per sample, read as the EXIT sampler reads them."""
     forward = np.stack([m.forward for m in mappers])
     natural = _CodeKernel(field, natural_mapper(field.s).signs, np.ones(sv.shape[1], dtype=int))
+    ws = _workspace(*[len(chips) * chips.shape[-1] * field.q] * 3)
     return _pattern_bit_llrs(natural, field, forward, np.argsort(forward, axis=1),
-                             sv, chips)
+                             sv, chips, ws)
 
 
 def _ese_user0(y_t, priors, params):
