@@ -202,7 +202,7 @@ class TestWorkspace:
                 assert len(calls[-1]) == len(set(calls[-1])) == threads
 
     def test_approx_point_memory_is_bounded(self, cpu_share):
-        # 14.9 MiB measured (a third of margin); int64 index draws took 34.5 MiB
+        # 13.9 MiB measured, 6 MiB under the bound; int64 index draws took 34.5 MiB
         cpu_share(2)
         assert _traced_peak(lambda: exit_ffdes_approx(2.0, 6, 8, 8192, seed=1)) < 20 << 20
 
