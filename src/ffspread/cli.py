@@ -8,10 +8,14 @@ slope      closed-form slope table over (s, L) grids (CSV)
 predict    asymptotic BER estimate and bound over Eb/N0 points (CSV)
 fit        regression of ln(BER) against linear Eb/N0 on an existing CSV
 
-Configuration is a flat key/value text file (``key = value`` per line,
-``#`` comments); every key can be overridden by a command-line flag of
-the same name.  Exit codes: 0 success, 2 configuration error, 3 runtime
-failure.
+``FIELDS`` declares each argument once: parser, range check, refusal
+text.  ``COMMANDS`` lists each subcommand's fields with its defaults
+(``None``: required) and its one cross-field budget; flags, config keys
+and refusals all come from the two, and ``resolve`` gives a parsed
+command line's checked values as one dict.  ``simulate`` also reads a
+flat ``key = value`` file (``#`` comments) of ``RunConfig`` fields, which
+its flags override.  Exit codes: 0 success, 2 configuration error
+(refused before anything is written), 3 runtime failure.
 
 Determinism: per-frame random streams are seeded by (master seed,
 Eb/N0 point index, frame index) and the frame-count stop rule
@@ -33,10 +37,12 @@ import argparse
 import csv
 import json
 import math
+import pathlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,74 +92,7 @@ class RunConfig:
     outdir: str = "."
 
     def validate(self) -> None:
-        problems = []
-        if self.mapper not in ("natural", "random"):
-            problems.append("mapper must be 'natural' or 'random'")
-        if self.sv not in ("random", "all-ones"):
-            problems.append("sv must be 'random' or 'all-ones'")
-        chips = self.k * self.s * self.n * self.l
-        if chips > MAX_DESPREAD_ENTRIES:
-            problems.append(f"k*s*n*l = {chips} exceeds the frame chip budget "
-                            f"{MAX_DESPREAD_ENTRIES} (float64 entries per (K, T) array)")
-        if self.iterations * self.k > MAX_DESPREAD_ENTRIES:
-            problems.append(f"iterations*k = {self.iterations * self.k} exceeds the "
-                            f"trace budget {MAX_DESPREAD_ENTRIES} (float64 entries)")
-        entries = (max(self.n, self.l * self.s) * self.l * 2 ** self.s
-                   if 1 <= self.s <= MAX_DEGREE else 0)
-        if entries > MAX_DESPREAD_ENTRIES:
-            problems.append(
-                f"max(n, l*s)*l*2^s = {entries} exceeds the despreader "
-                f"budget {MAX_DESPREAD_ENTRIES} (float64 entries per user)"
-            )
-        if self.stop_after < 0:
-            problems.append("stop_after must be >= 0")
-        names = ("k", "s", "l", "n", "iterations", "workers", "min_errors", "max_frames")
-        _check_ranges(problems, positive={name: getattr(self, name) for name in names},
-                     s=self.s, eb_n0_db=self.eb_n0_db, seed=self.seed)
-
-
-def _check_ranges(problems=(), *, positive: dict | None = None, s: int | None = None,
-                 eb_n0_db=None, seed: int | None = None, chart: tuple | None = None,
-                 grid: tuple | None = None, window: tuple | None = None) -> None:
-    """Refuse out-of-range arguments before anything is written: ``positive``
-    integers by name, a field degree ``s``, an ``eb_n0_db`` scalar or list, a
-    ``seed``, an EXIT ``chart`` (s, l, k, samples), a slope ``grid`` (s_values,
-    l_values) and a BER ``window`` (lo, hi).  One ``ConfigError`` lists these
-    problems, then the caller's ``problems``."""
-    found = [f"{name} must be a positive integer"
-             for name, value in (positive or {}).items() if value < 1]
-    if s is not None and not 1 <= s <= MAX_DEGREE:
-        found.append(f"s must be in [1, {MAX_DEGREE}]")
-    if seed is not None and seed < 0:
-        found.append("seed must be >= 0")
-    if chart is not None and 1 <= chart[0] <= MAX_DEGREE:
-        c_s, c_l, c_k, _ = chart
-        # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) uint16 indices
-        # (2 bytes each), exact's (CHUNK, l, s) float64 priors and the signal
-        # estimator's (CHUNK, k-1) float64 priors
-        draw = analysis.CHUNK * max(2 ** (c_s - 1) * (c_l - 1), c_s * c_l, c_k - 1)
-        if draw > MAX_DESPREAD_ENTRIES:
-            found.append(f"one EXIT chunk draws {draw} entries, above the budget "
-                         f"{MAX_DESPREAD_ENTRIES}")
-    if eb_n0_db is not None:
-        with np.errstate(over="ignore"):  # an overflowed ratio is refused below
-            ratio = 10.0 ** (np.asarray(eb_n0_db, dtype=np.float64) / 10.0)
-        if not (ratio.size and np.all((ratio >= _TINY) & (ratio <= 1.0 / _TINY))):  # nan fails
-            found.append("eb_n0_db must be a non-empty list whose Eb/N0 and N0 = 1/(Eb/N0) "
-                         "are positive normal floats (|eb_n0_db| below about 3076)")
-        elif chart is not None and min(chart[1], chart[3]) >= 1:
-            with np.errstate(over="ignore"):  # ESE values reach 4 Eb/N0 / l, at k = 1
-                squares = chart[3] * (4.0 * ratio / chart[1]) ** 2
-            if not np.all(np.isfinite(squares)):
-                found.append("samples * (4 Eb/N0 / l)^2, the ESE's largest sum of squares, "
-                             "must be a finite float64")
-    if grid is not None and not (all(grid) and 1 <= min(grid[0])
-                                 and max(grid[0]) <= MAX_DEGREE and min(grid[1]) >= 1):
-        found.append(f"s_values must lie in [1, {MAX_DEGREE}], l_values be >= 1")
-    if window is not None and not 0 < window[0] < window[1] < math.inf:
-        found.append("window must be finite with 0 < lo < hi")
-    if found or problems:
-        raise ConfigError(found + list(problems))
+        check("simulate", vars(self))
 
 
 @dataclass(frozen=True)
@@ -332,12 +271,8 @@ def write_prediction(path, s: int, l: int, eb_n0_db_list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration file / flag handling
+# arguments: one table of fields, one list of fields per command
 # ---------------------------------------------------------------------------
-
-def _parse_floats(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.replace(",", " ").split())
-
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -348,22 +283,108 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# RunConfig's field annotations are strings under postponed evaluation
-_PARSERS = {"int": int, "tuple": _parse_floats, "bool": _parse_bool, "str": str.strip}
-_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
-CONFIG_KEYS = frozenset(_KEY_PARSERS)
+def _normal_eb_n0(eb_n0_db) -> bool:
+    """Eb/N0 and N0 = 1/(Eb/N0) are positive normal floats, for one value or a non-empty list."""
+    with np.errstate(over="ignore"):  # an overflowed ratio is refused below
+        ratio = 10.0 ** (np.asarray(eb_n0_db, dtype=np.float64) / 10.0)
+    return bool(ratio.size and np.all((ratio >= _TINY) & (ratio <= 1.0 / _TINY)))  # nan fails
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        return _KEY_PARSERS[key](raw)
-    except ValueError as exc:
-        raise ConfigError([f"bad value for {key}: {exc}"]) from exc
+class Field(NamedTuple):
+    """One argument: ``parse`` reads a flag or config value (or one item of it,
+    see ``_parser``), ``check`` is its range check and ``problem`` its refusal."""
+    parse: Callable
+    check: Callable = lambda value: True
+    problem: str = ""
+    nargs: int | None = None
+
+
+FIELDS = {
+    **{name: Field(int, lambda value: value >= 1, f"{name} must be a positive integer")
+       for name in ("k", "l", "n", "iterations", "workers", "min_errors", "max_frames")},
+    "s": Field(int, lambda s: 1 <= s <= MAX_DEGREE, f"s must be in [1, {MAX_DEGREE}]"),
+    # one sample has no standard error
+    "samples": Field(int, lambda samples: samples >= 2, "samples must be >= 2"),
+    "seed": Field(int, lambda seed: seed >= 0, "seed must be >= 0"),
+    "stop_after": Field(int, lambda m: m >= 0, "stop_after must be >= 0"),
+    "eb_n0_db": Field(float, _normal_eb_n0,
+                      "eb_n0_db must be a non-empty list whose Eb/N0 and N0 = 1/(Eb/N0) "
+                      "are positive normal floats (|eb_n0_db| below about 3076)"),
+    "mapper": Field(str.strip, lambda v: v in ("natural", "random"),
+                    "mapper must be 'natural' or 'random'"),
+    "sv": Field(str.strip, lambda v: v in ("random", "all-ones"),
+                "sv must be 'random' or 'all-ones'"),
+    "noiseless": Field(_parse_bool),
+    "s_values": Field(int, lambda s: bool(s) and 1 <= min(s) <= max(s) <= MAX_DEGREE,
+                      f"s_values must be a non-empty list in [1, {MAX_DEGREE}]"),
+    "l_values": Field(int, lambda l: bool(l) and min(l) >= 1,
+                      "l_values must be a non-empty list of positive integers"),
+    "window": Field(float, lambda window: 0 < window[0] < window[1] < math.inf,
+                    "window must be finite with 0 < lo < hi", nargs=2),
+    **{name: Field(str) for name in ("outdir", "out", "input")},
+}
+
+
+def _simulate_budget(v: dict) -> list[str]:
+    """A frame's (K, T) chip arrays, its (iterations, K) trace and one user's despreader."""
+    k, s, l, n = (v[name] for name in "ksln")
+    problems = []
+    if k * s * n * l > MAX_DESPREAD_ENTRIES:
+        problems.append(f"k*s*n*l = {k * s * n * l} exceeds the frame chip budget "
+                        f"{MAX_DESPREAD_ENTRIES} (float64 entries per (K, T) array)")
+    if v["iterations"] * k > MAX_DESPREAD_ENTRIES:
+        problems.append(f"iterations*k = {v['iterations'] * k} exceeds the "
+                        f"trace budget {MAX_DESPREAD_ENTRIES} (float64 entries)")
+    entries = max(n, l * s) * l * 2 ** s
+    if entries > MAX_DESPREAD_ENTRIES:
+        problems.append(f"max(n, l*s)*l*2^s = {entries} exceeds the despreader "
+                        f"budget {MAX_DESPREAD_ENTRIES} (float64 entries per user)")
+    return problems
+
+
+def _exit_budget(v: dict) -> list[str]:
+    """One EXIT chunk's largest draw, then the ESE's largest sum of squares."""
+    s, l = v["s"], v["l"]
+    # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) uint16 indices
+    # (2 bytes each), exact's (CHUNK, l, s) float64 priors and the signal
+    # estimator's (CHUNK, k-1) float64 priors
+    draw = analysis.CHUNK * max(2 ** (s - 1) * (l - 1), s * l, v["k"] - 1)
+    if draw > MAX_DESPREAD_ENTRIES:
+        return [f"one EXIT chunk draws {draw} entries, above the budget {MAX_DESPREAD_ENTRIES}"]
+    with np.errstate(over="ignore"):  # ESE values reach 4 Eb/N0 / l, at k = 1
+        squares = v["samples"] * (4.0 * 10.0 ** (np.float64(v["eb_n0_db"]) / 10.0) / l) ** 2
+    if not np.isfinite(squares):
+        return ["samples * (4 Eb/N0 / l)^2, the ESE's largest sum of squares, "
+                "must be a finite float64"]
+    return []
+
+
+def check(command: str, values: dict) -> None:
+    """Refuse out-of-range values before anything is written: one
+    ``ConfigError`` lists every field that fails its range check or, once
+    all pass, the problems of the command's cross-field budget."""
+    problems = [FIELDS[name].problem for name, value in values.items()
+                if not FIELDS[name].check(value)] or COMMANDS[command].budget(values)
+    if problems:
+        raise ConfigError(problems)
+
+
+def _parser(name: str, default) -> Callable:
+    """A field's parser for one flag or config value: a tuple default marks a list
+    of comma- or space-separated items, unless the field takes ``nargs`` tokens."""
+    parse = FIELDS[name].parse
+    if not isinstance(default, tuple) or FIELDS[name].nargs:
+        return parse
+    def items(raw: str) -> tuple:
+        return tuple(parse(v) for v in raw.replace(",", " ").split())
+    items.__name__ = f"{parse.__name__} list"
+    return items
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment.  A file that cannot
-    be read as text is a ``ConfigError``."""
+    """Flat ``key = value`` lines of ``simulate`` fields; '#' starts a comment.
+    A file that cannot be read as text is a ``ConfigError``."""
+    defaults = COMMANDS["simulate"].fields
     values = {}
     problems = []
     try:
@@ -379,75 +400,54 @@ def load_config_file(path) -> dict:
             problems.append(f"{path}:{lineno}: expected 'key = value'")
             continue
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in defaults:
             problems.append(f"{path}:{lineno}: unknown key {key!r}")
             continue
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _parser(key, defaults[key])(raw)
+        except ValueError as exc:
+            raise ConfigError([f"bad value for {key}: {exc}"]) from exc
     if problems:
         raise ConfigError(problems)
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- config file <- command-line flags."""
-    cfg = RunConfig()
+def resolve(args: argparse.Namespace, command: str | None = None) -> dict:
+    """A parsed command line's checked values by field name: the command's
+    defaults <- ``simulate``'s config file <- command-line flags."""
+    command = command or args.command
+    values = dict(COMMANDS[command].fields)
     if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides[f.name] = val
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+        values.update(load_config_file(args.config))
+    values.update({name: flag for name in values
+                   if (flag := getattr(args, name, None)) is not None})
+    check(command, values)
+    return values
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per ``RunConfig`` field; a value that does not parse exits with status 2."""
-    p.add_argument("--config", help="flat key=value configuration file")
-    for key, parse in _KEY_PARSERS.items():
-        p.add_argument(f"--{key}", type=parse)
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig(**resolve(args, "simulate"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command and one flag per field; a flag that does
+    not parse raises ``argparse.ArgumentError``."""
     parser = argparse.ArgumentParser(
-        prog="ffspread",
-        description="finite-field spreading multiple-access experiments",
-    )
+        prog="ffspread", description="finite-field spreading multiple-access experiments",
+        exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run a BER sweep")
-    _add_config_flags(p_sim)
-
-    p_exit = sub.add_parser("exit", help="transfer-function chart CSV")
-    for key, default in (("s", 2), ("l", 8), ("k", 8), ("samples", 100_000), ("seed", 1)):
-        p_exit.add_argument(f"--{key}", type=int, default=default)
-    p_exit.add_argument("--eb_n0_db", type=float, default=7.0)
-    p_exit.add_argument("--outdir", default=".")
-
-    p_slope = sub.add_parser("slope", help="closed-form slope table CSV")
-    p_slope.add_argument("--s_values", default="1,2,4,6")
-    p_slope.add_argument("--l_values", default="8,16")
-    p_slope.add_argument("--out", default="slope_table.csv")
-
-    p_pred = sub.add_parser("predict", help="asymptotic BER prediction CSV")
-    p_pred.add_argument("--s", type=int, required=True)
-    p_pred.add_argument("--l", type=int, required=True)
-    p_pred.add_argument("--eb_n0_db", type=_parse_floats,
-                        default=(2.0, 4.0, 6.0, 8.0, 10.0))
-    p_pred.add_argument("--out", default="ber_prediction.csv")
-
-    p_fit = sub.add_parser("fit", help="slope regression on an existing BER CSV")
-    p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--window", nargs=2, type=float, default=(1e-4, 1e-2))
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, exit_on_error=False)
+        if name == "simulate":
+            p.add_argument("--config", help="flat key=value configuration file")
+        for key, default in command.fields.items():   # None: not given, see resolve
+            p.add_argument(f"--{key}", type=_parser(key, default), nargs=FIELDS[key].nargs,
+                           required=default is None)
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    cfg = resolve_config(args)
-    import pathlib
+def _cmd_simulate(**values) -> int:
+    cfg = RunConfig(**values)
     outdir = pathlib.Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = f"K{cfg.k}_s{cfg.s}_L{cfg.l}"
@@ -461,62 +461,61 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_exit(args) -> int:
-    import pathlib
-    # one sample has no standard error
-    _check_ranges(["samples must be >= 2"] if args.samples < 2 else (),
-                  positive={"l": args.l, "k": args.k}, s=args.s, eb_n0_db=args.eb_n0_db,
-                  seed=args.seed, chart=(args.s, args.l, args.k, args.samples))
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"exit_s{args.s}_L{args.l}.csv"
-    emit_exit_chart(args.s, args.l, args.k, args.eb_n0_db, args.samples, args.seed, path)
+def _cmd_exit(s, l, k, samples, seed, eb_n0_db, outdir) -> int:
+    path = pathlib.Path(outdir) / f"exit_s{s}_L{l}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    emit_exit_chart(s, l, k, eb_n0_db, samples, seed, path)
     print(path)
     return 0
 
 
-def _cmd_slope(args) -> int:
-    try:
-        s_values = [int(v) for v in args.s_values.replace(",", " ").split()]
-        l_values = [int(v) for v in args.l_values.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError([f"bad slope grid value: {exc}"]) from exc
-    _check_ranges(grid=(s_values, l_values))
-    write_slope_table(args.out, s_values, l_values)
-    print(args.out)
+def _cmd_slope(s_values, l_values, out) -> int:
+    write_slope_table(out, s_values, l_values)
+    print(out)
     return 0
 
 
-def _cmd_predict(args) -> int:
-    _check_ranges(positive={"l": args.l}, s=args.s, eb_n0_db=args.eb_n0_db)
-    write_prediction(args.out, args.s, args.l, args.eb_n0_db)
-    print(args.out)
+def _cmd_predict(s, l, eb_n0_db, out) -> int:
+    write_prediction(out, s, l, eb_n0_db)
+    print(out)
     return 0
 
 
-def _cmd_fit(args) -> int:
-    _check_ranges(window=args.window)
-    records = read_ber_csv(args.input)
-    value = fit_slope(records, window=tuple(args.window))
-    print(repr(value))
+def _cmd_fit(input, window) -> int:
+    print(repr(fit_slope(read_ber_csv(input), window=tuple(window))))
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "exit": _cmd_exit,
-    "slope": _cmd_slope,
-    "predict": _cmd_predict,
-    "fit": _cmd_fit,
+class Command(NamedTuple):
+    help: str
+    fields: dict                           # field name -> default; None: a required flag
+    run: Callable                          # the resolved values as keywords -> exit code
+    budget: Callable = lambda values: []   # problems of values that pass their checks
+
+
+COMMANDS = {
+    "simulate": Command("run a BER sweep", {f.name: f.default for f in fields(RunConfig)},
+                        _cmd_simulate, _simulate_budget),
+    "exit": Command("transfer-function chart CSV",
+                    {"s": 2, "l": 8, "k": 8, "samples": 100_000, "seed": 1,
+                     "eb_n0_db": 7.0, "outdir": "."}, _cmd_exit, _exit_budget),
+    "slope": Command("closed-form slope table CSV",
+                     {"s_values": (1, 2, 4, 6), "l_values": (8, 16), "out": "slope_table.csv"},
+                     _cmd_slope),
+    "predict": Command("asymptotic BER prediction CSV",
+                       {"s": None, "l": None, "eb_n0_db": (2.0, 4.0, 6.0, 8.0, 10.0),
+                        "out": "ber_prediction.csv"}, _cmd_predict),
+    "fit": Command("slope regression on an existing BER CSV",
+                   {"input": None, "window": (1e-4, 1e-2)}, _cmd_fit),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        for problem in exc.problems:
+        args = _build_parser().parse_args(argv)
+        return COMMANDS[args.command].run(**resolve(args))
+    except (argparse.ArgumentError, ConfigError) as exc:
+        for problem in getattr(exc, "problems", [exc]):
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract
