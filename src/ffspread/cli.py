@@ -58,6 +58,9 @@ from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 # (L*2^s, N) block or its (L*2^s, L*s) dense map, and one EXIT chunk's
 # largest draw: 2^24 is 128 MiB
 MAX_DESPREAD_ENTRIES = 1 << 24
+# cost units of the largest exact slope g(s, l+1) that slope and predict
+# evaluate (see _closed_form_budget): at most about 3.5 s per g on one core
+MAX_CLOSED_FORM_COST = 1 << 27
 BER_COLUMNS = ("eb_n0_db", "frames", "bits", "errors", "ber")
 
 
@@ -207,14 +210,27 @@ def write_ber_csv(path, records: list[BerRecord]) -> None:
 
 
 def read_ber_csv(path) -> list[BerRecord]:
-    """Records of a ``write_ber_csv`` file; a file without its columns is a ``ConfigError``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in BER_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError([f"{path} is not a BER CSV: missing columns {', '.join(missing)}"])
-        return [BerRecord(float(row["eb_n0_db"]), int(row["frames"]), int(row["bits"]),
-                          int(row["errors"]), float(row["ber"]), wall_time=0.0) for row in reader]
+    """Records of a ``write_ber_csv`` file.  A file that cannot be read as
+    text, lacks its columns or holds a value that does not parse is a
+    ``ConfigError`` naming the path (and the line)."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in BER_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ConfigError([f"{path} is not a BER CSV: missing columns "
+                                   f"{', '.join(missing)}"])
+            records = []
+            for row in reader:
+                try:
+                    records.append(BerRecord(
+                        float(row["eb_n0_db"]), int(row["frames"]), int(row["bits"]),
+                        int(row["errors"]), float(row["ber"]), wall_time=0.0))
+                except (TypeError, ValueError) as exc:   # a short row reads None
+                    raise ConfigError([f"{path}:{reader.line_num}: bad value: {exc}"]) from exc
+            return records
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError([f"cannot read BER CSV {path}: {exc}"]) from exc
 
 
 def fit_slope(records: list[BerRecord], window=(1e-4, 1e-2)) -> float:
@@ -356,6 +372,18 @@ def _exit_budget(v: dict) -> list[str]:
     if not np.isfinite(squares):
         return ["samples * (4 Eb/N0 / l)^2, the ESE's largest sum of squares, "
                 "must be a finite float64"]
+    return []
+
+
+def _closed_form_budget(s: int, l: int) -> list[str]:
+    """The exact g(s, l+1), the largest closed form a slope table or prediction evaluates."""
+    # (s-1)*l power terms times l*s*2^(s-1) denominator bits, plus the count
+    # polynomial's (s-1)*s*l^2 big-integer additions of up to l*s bits, which
+    # weigh about 1/256 as much per bit (fitted to timings of g_closed_form)
+    cost = (s - 1) * s * l * l * (2 ** (s - 1) + s * l // 256)
+    if cost > MAX_CLOSED_FORM_COST:
+        return [f"g(s, l+1) at s = {s}, l = {l} costs {cost} units, above the closed-form "
+                f"budget {MAX_CLOSED_FORM_COST} (a few seconds of big-integer arithmetic)"]
     return []
 
 
@@ -501,10 +529,12 @@ COMMANDS = {
                      "eb_n0_db": 7.0, "outdir": "."}, _cmd_exit, _exit_budget),
     "slope": Command("closed-form slope table CSV",
                      {"s_values": (1, 2, 4, 6), "l_values": (8, 16), "out": "slope_table.csv"},
-                     _cmd_slope),
+                     _cmd_slope, lambda v: _closed_form_budget(max(v["s_values"]),
+                                                               max(v["l_values"]))),
     "predict": Command("asymptotic BER prediction CSV",
                        {"s": None, "l": None, "eb_n0_db": (2.0, 4.0, 6.0, 8.0, 10.0),
-                        "out": "ber_prediction.csv"}, _cmd_predict),
+                        "out": "ber_prediction.csv"}, _cmd_predict,
+                       lambda v: _closed_form_budget(v["s"], v["l"])),
     "fit": Command("slope regression on an existing BER CSV",
                    {"input": None, "window": (1e-4, 1e-2)}, _cmd_fit),
 }

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -464,3 +466,77 @@ class TestMainEntry:
         a = (tmp_path / "a" / "exit_s1_L2.csv").read_bytes()
         b = (tmp_path / "b" / "exit_s1_L2.csv").read_bytes()
         assert a == b
+
+
+class TestArgumentTable:
+    # every command's flags, required flags and resolved defaults, in order
+    PINNED = {
+        "simulate": ([], ["--k", "--s", "--l", "--n", "--eb_n0_db", "--iterations",
+                          "--stop_after", "--seed", "--workers", "--min_errors",
+                          "--max_frames", "--mapper", "--sv", "--noiseless", "--outdir",
+                          "--config"], [],
+                     {"k": 8, "s": 1, "l": 8, "n": 1500, "eb_n0_db": (4.0, 5.0, 6.0, 7.0, 8.0),
+                      "iterations": 50, "stop_after": 4, "seed": 1, "workers": 1,
+                      "min_errors": 100, "max_frames": 20000, "mapper": "random",
+                      "sv": "random", "noiseless": False, "outdir": "."}),
+        "exit": ([], ["--s", "--l", "--k", "--samples", "--seed", "--eb_n0_db", "--outdir"], [],
+                 {"s": 2, "l": 8, "k": 8, "samples": 100000, "seed": 1, "eb_n0_db": 7.0,
+                  "outdir": "."}),
+        "slope": ([], ["--s_values", "--l_values", "--out"], [],
+                  {"s_values": (1, 2, 4, 6), "l_values": (8, 16), "out": "slope_table.csv"}),
+        "predict": (["--s", "2", "--l", "8"], ["--s", "--l", "--eb_n0_db", "--out"],
+                    ["--s", "--l"],
+                    {"s": 2, "l": 8, "eb_n0_db": (2.0, 4.0, 6.0, 8.0, 10.0),
+                     "out": "ber_prediction.csv"}),
+        "fit": (["--input", "ber.csv"], ["--input", "--window"], ["--input"],
+                {"input": "ber.csv", "window": (1e-4, 1e-2)}),
+    }
+
+    @pytest.mark.parametrize("command", PINNED)
+    def test_flags_and_defaults_pinned(self, command):
+        argv, flags, required, defaults = self.PINNED[command]
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices[command]._actions if "--help" not in a.option_strings]
+        assert sorted(a.option_strings[0] for a in actions) == sorted(flags)
+        assert [a.option_strings[0] for a in actions if a.required] == required
+        # repr: 7 for 7.0, or a list for a tuple, is a change too
+        assert repr(list(cli.resolve(parser.parse_args([command, *argv])).items())) == \
+            repr(list(defaults.items()))
+
+    def test_validate_runs_the_table(self):
+        assert list(cli.COMMANDS["simulate"].fields) == [f.name for f in fields(RunConfig)]
+        with pytest.raises(ConfigError, match="samples must be >= 2"):
+            cli.check("exit", dict(cli.COMMANDS["exit"].fields, samples=1))
+
+    def test_exit_takes_one_eb_n0(self, tmp_path):
+        assert main(["exit", "--eb_n0_db", "6,7", "--outdir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["predict", "--s", "12", "--l", "1000"],
+                                      ["slope", "--s_values", "6", "--l_values", "4096"],
+                                      ["slope", "--s_values", "1,12", "--l_values", "8,64"]])
+    def test_closed_form_budget_refuses(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "closed-form budget" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_closed_form_budget_accepts_the_used_cells(self):
+        # tests, demos and perfbench/jobs.py use s <= 10 with l <= 32
+        cli.check("slope", {"s_values": tuple(range(1, 11)), "l_values": (32,),
+                            "out": "unused.csv"})
+        cli.check("predict", {"s": 10, "l": 32, "eb_n0_db": (6.0,), "out": "unused.csv"})
+        assert cli._closed_form_budget(1, 10**6) == []   # s = 1: g = L - 1, no big integers
+
+    def test_fit_refuses_unreadable_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        write_ber_csv(bad, [BerRecord(6.0, 4, 4000, 8, 2e-3, 0.0),
+                            BerRecord(7.0, 4, 4000, 2, 5e-4, 0.0)])
+        bad.write_text(bad.read_text().replace("7.0,4,", "7.0,x,"))
+        missing = tmp_path / "missing.csv"
+        for path, message in ((missing, f"cannot read BER CSV {missing}"),
+                              (tmp_path, f"cannot read BER CSV {tmp_path}"),
+                              (bad, f"{bad}:3: bad value: invalid literal for int()")):
+            assert main(["fit", "--input", str(path)]) == 2, path
+            assert f"config error: {message}" in capsys.readouterr().err
