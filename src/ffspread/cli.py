@@ -307,8 +307,7 @@ def _normal_eb_n0(eb_n0_db) -> bool:
 
 
 class Field(NamedTuple):
-    """One argument: ``parse`` reads a flag or config value (or one item of it,
-    see ``_parser``), ``check`` is its range check and ``problem`` its refusal."""
+    """One argument: its parser (see ``_parser``), range check and refusal text."""
     parse: Callable
     check: Callable = lambda value: True
     problem: str = ""
@@ -376,7 +375,7 @@ def _exit_budget(v: dict) -> list[str]:
 
 
 def _closed_form_budget(s: int, l: int) -> list[str]:
-    """The exact g(s, l+1), the largest closed form a slope table or prediction evaluates."""
+    """Refuse a slope table or prediction whose largest exact g, g(s, l+1), costs too much."""
     # (s-1)*l power terms times l*s*2^(s-1) denominator bits, plus the count
     # polynomial's (s-1)*s*l^2 big-integer additions of up to l*s bits, which
     # weigh about 1/256 as much per bit (fitted to timings of g_closed_form)
@@ -403,6 +402,7 @@ def _parser(name: str, default) -> Callable:
     parse = FIELDS[name].parse
     if not isinstance(default, tuple) or FIELDS[name].nargs:
         return parse
+
     def items(raw: str) -> tuple:
         return tuple(parse(v) for v in raw.replace(",", " ").split())
     items.__name__ = f"{parse.__name__} list"
