@@ -366,6 +366,8 @@ def _exit_budget(v: dict) -> list[str]:
     draw = analysis.CHUNK * max(2 ** (s - 1) * (l - 1), s * l, v["k"] - 1)
     if draw > MAX_DESPREAD_ENTRIES:
         return [f"one EXIT chunk draws {draw} entries, above the budget {MAX_DESPREAD_ENTRIES}"]
+    if v["samples"] > sys.float_info.max:   # exact comparison; no float64 mean divides by it
+        return [f"samples must be at most {sys.float_info.max:g}, the largest float64"]
     with np.errstate(over="ignore"):  # ESE values reach 4 Eb/N0 / l, at k = 1
         squares = v["samples"] * (4.0 * 10.0 ** (np.float64(v["eb_n0_db"]) / 10.0) / l) ** 2
     if not np.isfinite(squares):

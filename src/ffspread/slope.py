@@ -19,7 +19,10 @@ per realization of its L-1 draws, and takes the max over the Cartesian
 product of the 2^(s-1) independent groups: every joint realization
 appears once, with its max taken directly, so no CDF or power identity
 of the closed form is involved.  Monte Carlo samples on the EXIT
-estimators' chunked sampler, bit-identical for any thread count.
+estimators' chunked sampler, bit-identical for any thread count.  One
+uint16 index, looked up in the enumeration's table of k-tuple weight
+sums, draws k of a group's positions: 2 draws per group at s = 4, L = 8.
+A sampling thread holds about 6 bytes per sample and group.
 """
 
 from __future__ import annotations
@@ -94,6 +97,17 @@ class OracleResult:
     std_error: float | None = None
 
 
+def _weight_sums(s: int, k: int) -> np.ndarray:
+    """Total weight of every k-tuple of draws from the m = 2^s-1 vectors
+    other than all-ones, m^k int16 entries built by k outer sums: entry i
+    is the tuple whose draws are i's base-m digits, most significant first."""
+    weights = np.array([v.bit_count() for v in range(2**s - 1)], dtype=np.int16)
+    table = np.zeros(1, dtype=np.int16)
+    for _ in range(k):
+        table = np.add.outer(table, weights).reshape(-1)
+    return table
+
+
 def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
              seed=0) -> OracleResult:
     """Slope from the probabilistic definition, independent of the closed form.
@@ -110,18 +124,27 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
 
     ``montecarlo`` samples the draws on ``analysis._mc_mean`` (``seed``:
     an int or a sequence of ints; ``samples`` >= 1), bit-identical for any
-    thread count.  A chunk draws one spreading position at a time, b *
-    2^(s-1) uint16 draws summed into int32 whatever L is, about 4 MiB per
-    thread at s = 8.  As for an EXIT point, the first threaded call sets
+    thread count.  One uniform index below m^k, m = 2^s-1, is k i.i.d.
+    draws read as base-m digits, so a group's L-1 draws take ceil((L-1)/k)
+    indices, with k the largest tuple length <= L-1 with m^k <= 2^16 (4 at
+    s = 4, 10 at s = 2, 1 from s = 9 on) and a shorter last tuple for the
+    remainder.  Each index's total weight is one lookup in the tuple's
+    weight-sum table, the same table exact mode builds for L-1 draws.  A
+    chunk draws one (b, 2^(s-1)) uint16 index array per tuple and adds its
+    lookups into (2^(s-1), b) int32 sums in row sub-batches, which bound
+    ``take``'s intp copy of the indices: about 3.5 MiB per thread at s = 8,
+    whatever L is.  As for an EXIT point, the first threaded call sets
     OpenBLAS to one thread for the process.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")
+    if mode not in ("exact", "montecarlo"):
+        raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
+    if mode == "montecarlo" and samples < 1:
+        raise ValueError("samples must be >= 1")
     if L == 1:
         return OracleResult(Fraction(0), "exact enumeration")
-    m = 2**s - 1                       # alphabet: vectors 0 .. 2^s-2 (all-ones excluded)
     n_j = 1 << (s - 1)
-    weights = np.array([v.bit_count() for v in range(m)], dtype=np.int16)
 
     if mode == "exact":
         count = _exact_count(s, L)
@@ -130,9 +153,7 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
                 f"exact enumeration needs {count} joint realizations "
                 f"(> {EXACT_ENUM_BUDGET}); use mode='montecarlo'"
             )
-        group = np.zeros(1, dtype=np.int16)       # one group's weight sums
-        for _ in range(L - 1):
-            group = np.add.outer(group, weights).reshape(-1)
+        group = _weight_sums(s, L - 1)            # one group's weight sums
         best = group                              # max over the groups so far
         for _ in range(n_j - 1):
             best = np.maximum.outer(best, group).reshape(-1)
@@ -140,17 +161,25 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
         value = Fraction(s * (L - 1)) - Fraction(total, count)
         return OracleResult(value, "exact enumeration")
 
-    if mode == "montecarlo":
+    m = 2**s - 1                       # uint16 indices: m^k <= 2^16, and m < 2^16 up to s = 16
+    k = 1
+    while k < L - 1 and m ** (k + 1) <= 1 << 16:
+        k += 1
+    full, rest = divmod(L - 1, k)
+    tables = [_weight_sums(s, k)] * full + ([_weight_sums(s, rest)] if rest else [])
+
+    def sampler(step: int):
         def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-            sums = np.zeros((b, n_j), np.int32)
-            for _ in range(L - 1):       # uint16 draws: m < 2^16 up to s = 16
-                sums += weights[rng.integers(0, m, size=(b, n_j), dtype=np.uint16)]
-            return s * (L - 1) - sums.max(axis=1).astype(np.float64)
+            sums = np.zeros((n_j, b), np.int32)   # group-major: the max runs down columns
+            for table in tables:
+                idx = rng.integers(0, table.size, size=(b, n_j), dtype=np.uint16)
+                for lo in range(0, b, step):   # take's intp copy of idx, one sub-batch at a time
+                    sums[:, lo:lo + step] += table.take(idx[lo:lo + step].T)
+            return s * (L - 1) - sums.max(axis=0).astype(np.float64)
+        return one_chunk
 
-        mean, se = _mc_mean(lambda step: one_chunk, samples, seed)
-        return OracleResult(mean, "monte carlo", se)
-
-    raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
+    mean, se = _mc_mean(sampler, samples, seed, entries=n_j)
+    return OracleResult(mean, "monte carlo", se)
 
 
 def standard_slope_exact(s: int, L: int) -> Fraction:

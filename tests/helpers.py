@@ -184,20 +184,27 @@ def reference_g_oracle_exact(s, L):
 
 def reference_g_oracle_montecarlo(s, L, samples, seed):
     """Monte-Carlo slope (mean, standard error), drawn as the library draws:
-    4096-sample chunks, chunk c seeded ``(seed, c)``, one (b, 2^(s-1)) uint16
-    draw per spreading position, summed by a plain ``sum(axis=2)`` over each
-    group's draws; chunk sums are added in chunk order."""
+    4096-sample chunks, chunk c seeded ``(seed, c)``.  A group's L-1 draws
+    come k at a time, k the largest tuple length <= L-1 with (2^s-1)^k <=
+    2^16, as one uniform uint16 index below (2^s-1)^k per (b, 2^(s-1))
+    array, the remainder last; each index is decoded digit by digit with %
+    and //.  Chunk sums are added in chunk order."""
     m = 2**s - 1
     n_j = 1 << (s - 1)
-    weights = np.array([v.bit_count() for v in range(m)], dtype=np.int16)
+    weights = np.array([v.bit_count() for v in range(m)], dtype=np.int64)
+    k = max(j for j in range(1, L) if m**j <= 1 << 16)
     chunk = 1 << 12
     acc, acc2 = 0.0, 0.0
     for c in range(-(-samples // chunk)):
         rng = np.random.default_rng((seed, c))
         b = min(chunk, samples - c * chunk)
-        draws = np.stack([rng.integers(0, m, size=(b, n_j), dtype=np.uint16)
-                          for _ in range(L - 1)], axis=2)
-        w = weights[draws].sum(axis=2, dtype=np.int64)    # (b, n_j)
+        w = np.zeros((b, n_j), dtype=np.int64)
+        for first in range(0, L - 1, k):
+            width = min(k, L - 1 - first)
+            cur = rng.integers(0, m**width, size=(b, n_j), dtype=np.uint16).astype(np.int64)
+            for _ in range(width):
+                w += weights[cur % m]
+                cur //= m
         vals = s * (L - 1) - w.max(axis=1).astype(np.float64)
         acc += float(vals.sum())
         acc2 += float((vals * vals).sum())

@@ -382,7 +382,10 @@ class TestMainEntry:
                                        # a standard error needs two samples
                                        ["--samples", "1"],
                                        # one Eb/N0 point per chart
-                                       ["--eb_n0_db", "6,7"]])
+                                       ["--eb_n0_db", "6,7"],
+                                       # more samples than a float64 holds
+                                       ["--s", "1", "--l", "2", "--k", "2",
+                                        "--samples", "1" + "0" * 400]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2

@@ -9,8 +9,8 @@ from scipy.stats import norm
 
 from ffspread import analysis
 from ffspread.cli import write_prediction, write_slope_table
-from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, g_closed_form, g_oracle,
-                            predict_ber, slope_report, standard_slope,
+from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, _weight_sums, g_closed_form,
+                            g_oracle, predict_ber, slope_report, standard_slope,
                             standard_slope_exact)
 
 from helpers import reference_g_oracle_exact, reference_g_oracle_montecarlo
@@ -110,6 +110,24 @@ class TestOracle:
         with pytest.raises(ValueError, match="samples"):
             g_oracle(2, 4, mode="montecarlo", samples=samples)
 
+    @pytest.mark.parametrize("s, mode, samples, problem", [(2, "guess", 200_000, "mode"),
+                                                           (4, "montecarlo", 0, "samples")])
+    def test_L1_checks_its_arguments(self, s, mode, samples, problem):
+        with pytest.raises(ValueError, match=problem):
+            g_oracle(s, 1, mode=mode, samples=samples)
+
+    @pytest.mark.parametrize("s, k", [(1, 5), (2, 10), (3, 5), (4, 4), (8, 2)])
+    def test_weight_sum_table_matches_digit_decoding(self, s, k):
+        m = 2**s - 1
+        weights = np.array([v.bit_count() for v in range(m)])
+        cur = np.arange(m**k)
+        want = np.zeros(m**k, dtype=np.int64)
+        for _ in range(k):
+            want += weights[cur % m]
+            cur //= m
+        table = _weight_sums(s, k)
+        assert table.dtype == np.int16 and np.array_equal(table, want)
+
     @pytest.mark.parametrize("s, L", [(1, L) for L in (1, 2, 9, 40)]
                              + [(2, L) for L in range(1, 9)]
                              + [(3, L) for L in range(1, 4)])
@@ -141,6 +159,33 @@ class TestOracle:
         monkeypatch.setattr(np.random, "default_rng", spy)
         g_oracle(4, 8, mode="montecarlo", samples=4 * analysis.CHUNK, seed=5)
         assert len(threads) >= 2
+
+    def test_montecarlo_draws_one_index_per_tuple(self, monkeypatch):
+        # (4, 8): 15^4 <= 2^16 < 15^5, so a group's 7 draws are a 4-tuple and a 3-tuple
+        counts = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.calls = default_rng(seed), 0
+                counts.append(self)
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        g_oracle(4, 8, mode="montecarlo", samples=2 * analysis.CHUNK + 17, seed=5)
+        assert [rng.calls for rng in counts] == [2, 2, 2]
+
+    @pytest.mark.parametrize("s, L, seed, value, std_error", [
+        (9, 3, 0, "3.4411370013419544", "0.007424026875463706"),
+        (4, 2, 0, "1.0840551421251678", "0.003079431803807496")])
+    def test_montecarlo_single_draw_tuples_keep_their_stream(self, s, L, seed, value,
+                                                             std_error):
+        # k = 1 from s = 9 on and at L = 2: one uint16 draw per position, as
+        # before tuple indices; values recorded with that earlier sampler
+        res = g_oracle(s, L, mode="montecarlo", samples=8197, seed=seed)
+        assert (repr(res.value), repr(res.std_error)) == (value, std_error)
 
     def test_montecarlo_memory_is_bounded(self, cpu_share):
         # the whole (16384, 128, 15) chunk of int64 draws peaked at 300 MiB;
