@@ -31,6 +31,13 @@ its sub-batches in one workspace per point: a single block, carved into
 views that the sub-batch arrays are written into with ``out=``.  The
 sampler thus allocates no sub-batch temporaries of kernel size, which
 would sit at the allocator's mmap threshold and be page-faulted afresh.
+Both despreader estimators lay a sub-batch's gathered terms out
+position-major, (L, p, .), so every sum over spreading positions runs
+down the leading axis; ``exit_ffdes_exact`` marginalizes with samples as
+columns, (Q, p), and ``exit_ffdes_approx`` takes its dot products as one
+(p*(L-1), s) @ (s, Q) GEMM.  Each product runs its sums in the same order
+for any sub-batch size p, so a chunk's values do not depend on the thread
+count either (see ``_pattern_bit_llrs``).
 The slope oracle's Monte-Carlo mode (``slope.g_oracle``) samples on the
 same ``_mc_mean``.
 """
@@ -52,6 +59,8 @@ CHUNK = 1 << 12
 # threads.  Each thread's workspace holds three such arrays for
 # exit_ffdes_exact and two for exit_ffdes_approx: 6 and 4 MiB in all.
 KERNEL_ENTRIES = 1 << 18
+# longest class-mass sum marginalized as one GEMM; see _pattern_bit_llrs
+MASS_GEMM_MAX_Q = 256
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
 TUNNEL_ROUNDS = 2000  # most rounds of tunnel_check's recursion
 
@@ -133,18 +142,32 @@ def _shaped(region: np.ndarray, dtype, *shape: int) -> np.ndarray:
 
 def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
                       ws: list[np.ndarray]) -> np.ndarray:
-    """(p, s, 1) total bit LLRs of (p, s, L) chips ``x``; sample b maps chip
-    pattern v to element ``forward[b, v]``, ``pattern[b]`` is the inverse and
-    ``sv[b]`` spreads.  With P the natural-mapper ``kern``'s symbol LLRs, the
-    total in pattern coordinates, t[v] = sum_i P[pattern[forward[v] * s_i], i],
-    is the sample's own total plus a constant, which marginalization cancels.
+    """(s, p) total bit LLRs, one column per sample, of (p, s, L) chips ``x``;
+    sample b maps chip pattern v to element ``forward[b, v]``, ``pattern[b]``
+    is the inverse and ``sv[b]`` spreads.  With P the natural-mapper ``kern``'s
+    symbol LLRs, the total in pattern coordinates,
+    t[v] = sum_i P[pattern[forward[v] * s_i], i], is the sample's own total
+    plus a constant, which marginalization cancels.
+
+    The terms of t are gathered position-major, (L, p, Q), so the sum over
+    positions runs down the leading axis, and the totals are marginalized
+    with samples as columns, (Q, p), so the class masses are one GEMM.  A
+    sample's values must not depend on p, which the thread count sets, so
+    every product is one whose sums OpenBLAS runs in the same order for any
+    p.  P stays one (Q, s) @ (s, L) product per sample: a single
+    (Q, s) @ (s, p*L) GEMM would compute the last columns of a large
+    sub-batch in another kernel, with other last bits from s = 6 on.
+    numpy multiplies a single column by gemv, which sums in another order,
+    so one sample's masses are read as two; and OpenBLAS splits a sum
+    longer than ``MASS_GEMM_MAX_Q`` into blocks only for large matrices, so
+    a larger field marginalizes each sample on its own, as a (Q, 1) product.
 
     Everything before the marginalization is computed into ``ws``, three
-    regions of at least p*L*Q entries.  Each array goes to
-    a region whose contents have been read, so ``pattern`` may sit at the
-    start of the first region and ``x`` at the start of the second.
-    ``take`` clips its in-range indices: a bounds-checked ``take`` buffers
-    its ``out``.
+    regions of at least p*L*Q entries; the int16 ``forward`` and ``pattern``
+    become int64 indices there.  Each array goes to a region whose contents
+    have been read, so ``pattern`` may sit at the start of the first region
+    and ``x`` at the start of the second.  ``take`` clips its in-range
+    indices: a bounds-checked ``take`` buffers its ``out``.
     """
     p, L, q = len(x), x.shape[-1], field.q
     a, b, c = ws
@@ -154,13 +177,18 @@ def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
     lsym = np.take(sym.reshape(-1, L), idx, axis=0, mode="clip",
                    out=_shaped(b, np.float64, p, q, L))                      # (p, Q, L)
     elems = np.take(field.mul_table, sv, axis=0, mode="clip", out=_shaped(a, np.int16, p, L, q))
-    cols = np.multiply(elems, L, out=_shaped(c, np.int64, p, L, q), dtype=np.int64)
-    cols += (off * L + np.arange(L))[:, :, None]
-    gathered = np.take(lsym, cols, mode="clip", out=_shaped(a, np.float64, p, L, q))
-    tot = np.sum(gathered, axis=1, out=_shaped(b, np.float64, p, q))
-    idx = np.add(forward, off, out=_shaped(c, np.int64, p, q))
-    return kern.chip_llrs(np.take(tot, idx, mode="clip",
-                                  out=_shaped(a, np.float64, p, q))[..., None])
+    cols = np.multiply(elems.transpose(1, 0, 2), L, out=_shaped(c, np.int64, L, p, q),
+                       dtype=np.int64)
+    cols += (off.T * L + np.arange(L)[:, None])[:, :, None]                  # (L, p, 1)
+    gathered = np.take(lsym, cols, mode="clip", out=_shaped(a, np.float64, L, p, q))
+    tot = np.sum(gathered, axis=0, out=_shaped(b, np.float64, p, q))
+    idx = np.add(forward.T, off.T, out=_shaped(c, np.int64, q, p))
+    t = np.take(tot, idx, mode="clip", out=_shaped(a, np.float64, q, p))   # (Q, p)
+    if q > MASS_GEMM_MAX_Q:
+        return kern.chip_llrs(t.T[:, :, None])[:, :, 0].T
+    if p == 1:
+        return kern.chip_llrs(np.repeat(t, 2, axis=1))[:, :1]
+    return kern.chip_llrs(t)
 
 
 def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
@@ -209,7 +237,7 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
                 x = np.multiply(chips.swapaxes(1, 2), h[part].swapaxes(1, 2),
                                 out=_shaped(ws[1], np.float64, len(rows), s, L))
                 ext = _pattern_bit_llrs(kern, field, forward[part], pattern, sv[part], x, ws)
-                vals[part] = chips[rows, li[part], ni[part]] * ext[rows, ni[part], 0]
+                vals[part] = chips[rows, li[part], ni[part]] * ext[ni[part], rows]
             return vals
         return one_chunk
 
@@ -221,9 +249,11 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     """Upper-bound approximation of the despreader transfer point.
 
     The closed form runs in sub-batches of a chunk's draws, each thread in
-    its own workspace: the (p, L-1, Q) dot products, and the flat indices
-    and terms of the sums gathered from them (half that size each).  The
-    sums, first su, then sp, overwrite the indices they were gathered with.
+    its own workspace: the (p, L-1, Q) dot products, one GEMM, and the flat
+    indices and terms of the sums gathered from them (half that size each),
+    position-major, so each sum over positions runs down the leading axis.
+    The sums, first su, then sp, overwrite the indices they were gathered
+    with.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -236,16 +266,17 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
         g = step * n_j * (L - 1)
         # the indices' region also holds the sums: step * n_j entries, even at L = 1
         dots_ws, idx_ws, sel_ws = _workspace(step * (L - 1) * q, max(g, step * n_j), g)
-        # flat offsets of the (step, L-1, Q) dots' rows: sample b, position l
-        b_off, l_off = np.arange(step)[:, None, None] * ((L - 1) * q), np.arange(L - 1) * q
+        # flat offsets of the (step, L-1, Q) dots' rows, position-major: (L-1, step, 1)
+        off = (np.arange(L - 1)[:, None] * q + np.arange(step) * ((L - 1) * q))[:, :, None]
 
         def gather_sum(dots: np.ndarray, idx: np.ndarray) -> np.ndarray:
             """sum_l dots[b, l, idx[b, j, l]], gathered in the workspace; the sums
             overwrite the flat indices."""
-            flat = np.add(idx, l_off, out=_shaped(idx_ws, np.int64, *idx.shape))
-            flat += b_off[:len(idx)]
-            sel = np.take(dots, flat, out=_shaped(sel_ws, np.float64, *idx.shape), mode="clip")
-            return np.sum(sel, axis=2, out=_shaped(idx_ws, np.float64, *idx.shape[:2]))
+            n, m = idx.shape[:2]
+            flat = np.add(idx.transpose(2, 0, 1), off[:, :n],
+                          out=_shaped(idx_ws, np.int64, L - 1, n, m))
+            sel = np.take(dots, flat, out=_shaped(sel_ws, np.float64, L - 1, n, m), mode="clip")
+            return np.sum(sel, axis=0, out=_shaped(idx_ws, np.float64, n, m))
 
         def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
             # uint16 draws: q - 1 < 2^16 up to s = 16
@@ -256,7 +287,8 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
             for lo in range(0, b, step):
                 part = slice(lo, lo + step)
                 n = min(step, b - lo)
-                dots = np.matmul(h[part], bits01.T, out=_shaped(dots_ws, np.float64, n, L - 1, q))
+                dots = np.matmul(h[part].reshape(-1, s), bits01.T,
+                                 out=_shaped(dots_ws, np.float64, n * (L - 1), q))
                 su = gather_sum(dots, r_idx[part])
                 vals[part] = s * (L - 1) * m_a - _lse(su)
                 if n_j > 1:

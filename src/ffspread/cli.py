@@ -61,6 +61,9 @@ MAX_DESPREAD_ENTRIES = 1 << 24
 # cost units of the largest exact slope g(s, l+1) that slope and predict
 # evaluate (see _closed_form_budget): at most about 3.5 s per g on one core
 MAX_CLOSED_FORM_COST = 1 << 27
+# most samples per EXIT point: one (sum, sum of squares) per 4096-sample
+# chunk, 2^20 of them
+MAX_EXIT_SAMPLES = 1 << 32
 BER_COLUMNS = ("eb_n0_db", "frames", "bits", "errors", "ber")
 
 
@@ -319,7 +322,8 @@ FIELDS = {
        for name in ("k", "l", "n", "iterations", "workers", "min_errors", "max_frames")},
     "s": Field(int, lambda s: 1 <= s <= MAX_DEGREE, f"s must be in [1, {MAX_DEGREE}]"),
     # one sample has no standard error
-    "samples": Field(int, lambda samples: samples >= 2, "samples must be >= 2"),
+    "samples": Field(int, lambda samples: 2 <= samples <= MAX_EXIT_SAMPLES,
+                     f"samples must be in [2, {MAX_EXIT_SAMPLES}]"),
     "seed": Field(int, lambda seed: seed >= 0, "seed must be >= 0"),
     "stop_after": Field(int, lambda m: m >= 0, "stop_after must be >= 0"),
     "eb_n0_db": Field(float, _normal_eb_n0,
@@ -366,8 +370,6 @@ def _exit_budget(v: dict) -> list[str]:
     draw = analysis.CHUNK * max(2 ** (s - 1) * (l - 1), s * l, v["k"] - 1)
     if draw > MAX_DESPREAD_ENTRIES:
         return [f"one EXIT chunk draws {draw} entries, above the budget {MAX_DESPREAD_ENTRIES}"]
-    if v["samples"] > sys.float_info.max:   # exact comparison; no float64 mean divides by it
-        return [f"samples must be at most {sys.float_info.max:g}, the largest float64"]
     with np.errstate(over="ignore"):  # ESE values reach 4 Eb/N0 / l, at k = 1
         squares = v["samples"] * (4.0 * 10.0 ** (np.float64(v["eb_n0_db"]) / 10.0) / l) ** 2
     if not np.isfinite(squares):
@@ -551,7 +553,7 @@ def main(argv=None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -28,8 +28,10 @@ Q-major: each user's chip LLRs are an (L*s, N) array, one column per
 symbol group, laid out by ``codec.chip_slots``.
 The first two steps are linear: one matmul per user with a dense
 (L*2^s, L*s) map read off the field tables.  The EXIT analysis reads its
-per-sample mappers through one kernel, in chip-pattern coordinates
-(``analysis._pattern_bit_llrs``).  Marginalization is one exponential per
+per-sample mappers through one natural-mapper kernel, in chip-pattern
+coordinates (``analysis._pattern_bit_llrs``): ``symbol_llrs`` per sample,
+then ``chip_llrs`` on a (2^s, p) array with one sample per column, the
+decision read's layout.  Marginalization is one exponential per
 max-shifted symbol vector and one matmul with the bit-class indicators;
 where a class mass underflows, it falls back to log-sum-exp on the
 allocating path only (a frame's despread, in buffers, relies on its clip).

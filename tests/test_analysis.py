@@ -10,6 +10,7 @@ from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
                                exit_ffdes_approx, exit_ffdes_exact,
                                ffdes_approx_curve, ffdes_exact_curve,
                                tunnel_check, write_curves_csv)
+from ffspread.gf import _sign_basis, build_field
 from ffspread.slope import g_closed_form
 
 SAMPLES = 20_000
@@ -234,6 +235,35 @@ class TestThreadCount:
         one, two, three = self._on_threads(
             cpu_share, lambda: exit_ese(1.5, 5.0, 8, L, self.SAMPLES, seed=L))
         assert two == one and three == one
+
+
+class TestSubBatches:
+    """A sample's despreader read does not depend on how many samples share
+    its sub-batch, which the thread count sets."""
+
+    @pytest.mark.parametrize("s,L", [(s, L) for s in (1, 2, 4, 6) for L in (1, 3, 8, 16)]
+                             + [(9, 2)])
+    def test_pattern_bit_llrs_per_sample(self, s, L):
+        # read whole, 1400 samples at s = 6 and 300 at s = 9 make the class-mass
+        # products large enough for OpenBLAS's blocked kernels
+        n = 300 if s > 8 else 1400
+        field = build_field(s)
+        kern = decoder._CodeKernel(field, _sign_basis(s), np.ones(L, dtype=np.int64))
+        rng = np.random.default_rng((s, L))
+        forward = np.argsort(rng.random((n, field.q)), axis=1).astype(np.int16)
+        pattern = np.argsort(forward, axis=1).astype(np.int16)
+        sv = rng.integers(1, field.q, size=(n, L))
+        x = rng.normal(1.0, 3.0, size=(n, s, L))
+        reads = []
+        for step in (1, 3, n):
+            ws = analysis._workspace(*[step * L * field.q] * 3)
+            read = np.empty((s, n))
+            for lo in range(0, n, step):
+                part = slice(lo, lo + step)
+                read[:, part] = analysis._pattern_bit_llrs(kern, field, forward[part],
+                                                           pattern[part], sv[part], x[part], ws)
+            reads.append(read)
+        assert np.array_equal(reads[1], reads[0]) and np.array_equal(reads[2], reads[0])
 
 
 class TestEse:

@@ -385,11 +385,25 @@ class TestMainEntry:
                                        ["--eb_n0_db", "6,7"],
                                        # more samples than a float64 holds
                                        ["--s", "1", "--l", "2", "--k", "2",
-                                        "--samples", "1" + "0" * 400]])
+                                        "--samples", "1" + "0" * 400],
+                                       # more chunks than an index holds, and a
+                                       # chunk list beyond memory
+                                       ["--s", "1", "--l", "2", "--k", "2",
+                                        "--samples", "1" + "0" * 30],
+                                       ["--s", "1", "--l", "2", "--k", "2",
+                                        "--samples", "1" + "0" * 20]])
     def test_exit_refuses_out_of_range(self, flags, tmp_path):
         out = tmp_path / "out"
         assert main(["exit", *flags, "--outdir", str(out)]) == 2
         assert not out.exists()
+
+    def test_runtime_error_without_a_message_names_its_type(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def fail(*args):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "emit_exit_chart", fail)
+        assert main(["exit", "--outdir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_exit_standard_errors_stay_finite_at_high_eb_n0(self, tmp_path):
         # 64 * (4 Eb/N0 / 2)^2 is about 2.6e302 at 1500 dB; the pytest

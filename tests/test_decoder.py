@@ -37,7 +37,7 @@ def _read_in_pattern_coordinates(field, mappers, sv, chips):
     natural = _CodeKernel(field, natural_mapper(field.s).signs, np.ones(sv.shape[1], dtype=int))
     ws = _workspace(*[len(chips) * chips.shape[-1] * field.q] * 3)
     return _pattern_bit_llrs(natural, field, forward, np.argsort(forward, axis=1),
-                             sv, chips, ws)
+                             sv, chips, ws).T[..., None]
 
 
 def _ese_user0(y_t, priors, params):
