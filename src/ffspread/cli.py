@@ -345,7 +345,12 @@ FIELDS = {
 
 
 def _simulate_budget(v: dict) -> list[str]:
-    """A frame's (K, T) chip arrays, its (iterations, K) trace and one user's despreader."""
+    """A frame's (K, T) chip arrays, its (iterations, K) trace and one user's despreader.
+
+    The despreader's float64 (L*2^s, L*s) map and each frame thread's
+    (L, 2^s, N) buffer, float32 for s > 1 (the frame despreads in float32),
+    hold at most max(n, l*s)*l*2^s entries each.
+    """
     k, s, l, n = (v[name] for name in "ksln")
     problems = []
     if k * s * n * l > MAX_DESPREAD_ENTRIES:

@@ -35,6 +35,9 @@ decision read's layout.  Marginalization is one exponential per
 max-shifted symbol vector and one matmul with the bit-class indicators;
 where a class mass underflows, it falls back to log-sum-exp on the
 allocating path only (a frame's despread, in buffers, relies on its clip).
+The buffered kernels compute in their buffers' dtype: a frame despreads
+s > 1 groups in float32, and everything else (s = 1 frames, the decision
+reads, the allocating path, the EXIT analysis) in float64.
 
 A flooding schedule updates all users in parallel each iteration, so
 results do not depend on user ordering.  ``decode_frame`` clamps LLRs to
@@ -109,7 +112,10 @@ class _CodeKernel:
     and ``total_bit_llrs`` maps them to (.., s, N): each is one matmul,
     ``extrinsic_symbol_llrs`` with ``ext_map`` or ``total_llrs`` with
     ``tot_map``, then marginalization.  Both maps are read off the field's
-    product and inverse tables on first use.
+    product and inverse tables on first use.  Arrays are float64, except
+    that ``despread`` and ``chip_llrs`` compute in the dtype of their
+    optional buffers, float64 or float32 (with ``ext_map32`` and
+    ``masks32``, made on first use).
     """
 
     def __init__(self, field: FieldSpec, signs: np.ndarray, sv_elements: np.ndarray):
@@ -138,6 +144,16 @@ class _CodeKernel:
         return np.ascontiguousarray(ext.swapaxes(0, 1)).reshape(self.L * self.q, -1)
 
     @functools.cached_property
+    def ext_map32(self) -> np.ndarray:
+        """``ext_map`` in float32, for despreading in float32 buffers."""
+        return self.ext_map.astype(np.float32)
+
+    @functools.cached_property
+    def masks32(self) -> np.ndarray:
+        """``masks`` in float32, for despreading in float32 buffers."""
+        return self.masks.astype(np.float32)
+
+    @functools.cached_property
     def tot_map(self) -> np.ndarray:
         """(Q, L*s) map from a group's chip LLRs to its total symbol LLRs:
         row lam, column (i, m) holds ``w[lam * s_i, m]``."""
@@ -150,8 +166,10 @@ class _CodeKernel:
     def extrinsic_symbol_llrs(self, chip_llrs: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:
         """(.., L*s, N) chip LLRs -> (.., L*Q, N) leave-one-out symbol LLRs of
-        every position, relabeled by the spreading elements."""
-        return np.matmul(self.ext_map, chip_llrs, out=out)
+        every position, relabeled by the spreading elements, in float32 for
+        float32 chip LLRs and float64 otherwise."""
+        ext_map = self.ext_map32 if chip_llrs.dtype == np.float32 else self.ext_map
+        return np.matmul(ext_map, chip_llrs, out=out)
 
     def total_llrs(self, chip_llrs: np.ndarray) -> np.ndarray:
         """(.., L*s, N) chip LLRs -> (.., Q, N) all-positions symbol LLRs."""
@@ -174,10 +192,13 @@ class _CodeKernel:
         With the buffers ``out`` (.., s, M) and, for s > 1, ``peak``
         (.., 1, M) and ``mass`` (.., 2s, M), nothing is allocated: the shift
         and ``exp`` run in the finite ``sym_llrs``, which is overwritten, and
-        the result goes to ``out``, with no recompute.  The class holding a
-        vector's max has mass >= 1, so an underflowed class gives +/-inf or
-        beyond +/-700, which ``decode_frame``'s clip turns into log-sum-exp's
-        clipped value.
+        the result goes to ``out``, with no recompute.  ``sym_llrs``,
+        ``peak`` and ``mass`` share the dtype computed in; ``out`` gets the
+        difference of the class logs cast to its own.  The class holding a
+        vector's max has mass >= 1, so a class mass below the normal floats
+        gives a chip LLR beyond +/-700 in float64 or +/-87 in float32, or
+        +/-inf where it is 0, which ``decode_frame``'s clip turns into
+        log-sum-exp's clipped value.
         """
         s = self.s
         if s == 1:
@@ -187,7 +208,8 @@ class _CodeKernel:
             shift = np.max(sym_llrs, axis=-2, keepdims=True, out=peak)
             e = np.subtract(sym_llrs, shift, out=None if out is None else sym_llrs)
             np.exp(e, out=e)
-            mass = np.matmul(self.masks, e, out=mass)                 # (.., 2s, M)
+            masks = self.masks32 if e.dtype == np.float32 else self.masks
+            mass = np.matmul(masks, e, out=mass)                      # (.., 2s, M)
             del e
             bad = None
             if out is None and not mass.min(initial=np.inf) >= _TINY:
@@ -207,13 +229,19 @@ class _CodeKernel:
 
         With the buffers ``ext`` (L, Q, N) for the matmul and, for s > 1,
         ``peak`` and ``mass`` (see ``chip_llrs``), the finite (L*s, N) input
-        is overwritten with the result and nothing is allocated.
+        is overwritten with the result and nothing is allocated.  With
+        float32 buffers the input's float32 copy waits for the matmul in
+        ``mass``, idle until the class masses.
         """
         shape = chip_llrs.shape
         if ext is None:
             ext = self.extrinsic_symbol_llrs(chip_llrs)
             return self.chip_llrs(ext.reshape(shape[:-2] + (self.L, self.q, shape[-1]))).reshape(shape)
-        self.extrinsic_symbol_llrs(chip_llrs, out=ext.reshape(-1, shape[-1]))
+        src = chip_llrs
+        if ext.dtype == np.float32:
+            src = mass.reshape(-1)[:chip_llrs.size].reshape(shape)
+            np.copyto(src, chip_llrs, casting="same_kind")
+        self.extrinsic_symbol_llrs(src, out=ext.reshape(-1, shape[-1]))
         self.chip_llrs(ext, chip_llrs.reshape(self.L, self.s, -1), peak, mass)
         return chip_llrs
 
@@ -439,13 +467,18 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     module docstring); the outputs are the same for any thread count.
 
     Each thread decodes its users in a workspace allocated once per frame:
-    the gathered priors (L*s, N), the despread's (L, 2^s, N) matmul output,
-    whose first 2T entries then hold the interleaved extrinsics and the
-    trace's temporary, and for s > 1 the marginalization's max and class
-    masses.  The decision read allocates its own (2^s, N) and (s, N)
-    arrays and keeps log-sum-exp for underflowed class masses.  Each
-    user's latest read is kept in a (K, s, N) float array, which becomes
-    the returned bit LLRs and is the only memory the stop rule adds.
+    the gathered float64 priors (L*s, N), the despread's (L, 2^s, N) matmul
+    output ``g``, and for s > 1 the marginalization's max and class masses.
+    For s > 1 the last three are float32: the despread computes in float32
+    and writes its chip LLRs into the priors, and the clip, interleave,
+    trace and damping stay float64.  ``g``'s first 16T bytes then hold the
+    float64 interleaved extrinsics and the trace's temporary; a float32
+    ``g`` of T*2^s/s entries is sized up to them at s = 2 and 3, still
+    fewer bytes than the float64 layout.  The decision read allocates its
+    own (2^s, N) and (s, N) arrays and keeps log-sum-exp for underflowed
+    class masses.  Each user's latest read is kept in a (K, s, N) float
+    array, which becomes the returned bit LLRs and is the only memory the
+    stop rule adds.
     Deinterleaving gathers through ``pos``, the (K, T) int64 inverse of
     ``chip_slots``, and interleaving through ``chip_slots``.
     Both use ``np.take(..., mode="clip")``: the default "raise" buffers the
@@ -486,15 +519,19 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     if stop_after:
         flips = np.zeros((iterations, K), dtype=np.int64)  # decisions changed per user
     bits = np.zeros((K, s, N))  # each user's last decision read; zero decides +1
-    # per thread, see the docstring; g holds T * 2^s / s >= 2T entries
-    work = [(np.empty(cols), np.empty((L, 2**s, N)))
-            + ((np.empty((L, 1, N)), np.empty((L, 2 * s, N))) if s > 1 else ())
+    # per thread, see the docstring; g also holds the float64 (2, T) scratch,
+    # which its T * 2^s / s entries always cover in float64
+    dtype = np.float32 if s > 1 else np.float64
+    g_size = max(L * 2**s * N, 2 * T * 8 // np.dtype(dtype).itemsize)
+    work = [(np.empty(cols), np.empty(g_size, dtype))
+            + ((np.empty((L, 1, N), dtype), np.empty((L, 2 * s, N), dtype)) if s > 1 else ())
             for _ in range(threads)]
 
     def update(users: range) -> None:
         """Decide, despread, re-interleave and damp ``users``; writes their rows only."""
-        x, g, *marg = work[users.start]
-        extr, tmp = g.reshape(-1)[:2 * T].reshape(2, T)
+        x, g, *bufs = work[users.start]
+        ext = g[:L * 2**s * N].reshape(L, 2**s, N)
+        extr, tmp = g.view(np.float64)[:2 * T].reshape(2, T)
         for k in users:
             np.take(ese[k], pos[k], out=x.reshape(-1), mode="clip")
             if stop_after or it == iterations - 1:
@@ -502,7 +539,7 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
                 if stop_after:
                     flips[it, k] = np.count_nonzero((read >= 0) != (bits[k] >= 0))
                 bits[k] = read
-            le = kernels[k].despread(x, g, *marg)
+            le = kernels[k].despread(x, ext, *bufs)
             np.clip(le, -LLR_MAX, LLR_MAX, out=le)
             np.take(le.reshape(-1), slots[k], out=extr, mode="clip")
             if true_chips is not None:

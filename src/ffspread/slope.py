@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, erfc, sqrt
 
 import numpy as np
@@ -42,22 +43,20 @@ _erfc = np.vectorize(erfc, otypes=[np.float64])   # Eb/N0 lists are short
 
 def _weight_cdf_counts(s: int, L: int) -> list[int]:
     """counts[j] = number of (L-1)-tuples over the excluded-all-ones vectors
-    whose total weight is <= j, weighted by nothing (plain counts)."""
-    coeffs = [comb(s, n) for n in range(s)]  # weight-n vectors, n <= s-1
+    whose total weight is <= j, weighted by nothing (plain counts).
+
+    The weights' generating polynomial is f^n, n = L-1, with f_i = C(s, i)
+    for i <= s-1 and f_0 = 1, so its coefficients follow J. C. P. Miller's
+    power recurrence (Knuth, TAOCP Vol. 2, 4.7):
+    t p_t = sum_{i=1}^{min(t, s-1)} ((n+1) i - t) f_i p_{t-i}, the division exact.
+    """
+    n = L - 1
+    f = [comb(s, i) for i in range(s)]  # weight-i vectors, i <= s-1
     poly = [1]
-    for _ in range(L - 1):
-        nxt = [0] * (len(poly) + len(coeffs) - 1)
-        for i, a in enumerate(poly):
-            if a:
-                for j, b in enumerate(coeffs):
-                    nxt[i + j] += a * b
-        poly = nxt
-    kmax = (s - 1) * (L - 1)
-    counts, acc = [], 0
-    for t in range(kmax + 1):
-        acc += poly[t] if t < len(poly) else 0
-        counts.append(acc)
-    return counts
+    for t in range(1, (s - 1) * n + 1):
+        poly.append(sum(((n + 1) * i - t) * f[i] * poly[t - i]
+                        for i in range(1, min(t, s - 1) + 1)) // t)
+    return list(accumulate(poly))
 
 
 @cache

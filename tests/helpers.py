@@ -6,6 +6,8 @@ than reusing the library's log-domain kernels.
 """
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 import numpy as np
 
@@ -115,12 +117,28 @@ def random_despread_instance(rng, s_max=4, L_max=4, scale=3.0):
     return field, mapper, sv, prior
 
 
+def _despread_float32(kern, x):
+    """FF-DES of (L*s, N) float64 priors computed in float32: extrinsic
+    symbol LLRs, max-shifted exp, class masses, then the float64 cast of
+    the difference of their logs (+/-inf where a class mass is 0)."""
+    s = kern.s
+    ext = (kern.ext_map.astype(np.float32) @ x.astype(np.float32)).reshape(kern.L, kern.q, -1)
+    e = np.exp(ext - ext.max(axis=1, keepdims=True))
+    with np.errstate(divide="ignore"):
+        logs = np.log(kern.masks.astype(np.float32) @ e)
+    return (logs[:, :s] - logs[:, s:]).astype(np.float64).reshape(x.shape)
+
+
 def reference_decode_frame(y, specs, params, iterations, true_chips=None, stop_after=0):
     """The library's frame loop written plainly, serial and allocating.
 
     Each user is deinterleaved by a scatter, despread into fresh arrays,
     clipped, re-interleaved by a gather and damped, with the library's
-    own kernels, so ``decode_frame`` must match it bit for bit.  The stop
+    own kernels, so ``decode_frame`` must match it bit for bit.  For s > 1
+    the despread runs in float32, as the frame's buffers do: the priors
+    and the extrinsic map are cast down, marginalized by max, exp, class
+    masses and log, and the difference of the class logs is cast back to
+    float64 before the clip.  The decision reads stay float64.  The stop
     rule compares each iteration's hard decisions, the signs of the total
     bit LLRs of its deinterleaved ESE output, with the previous
     iteration's, and stops once ``stop_after`` iterations in a row after
@@ -129,8 +147,8 @@ def reference_decode_frame(y, specs, params, iterations, true_chips=None, stop_a
     from ffspread.codec import chip_slots
     from ffspread.decoder import DAMPING, LLR_MAX, DecodeResult, _CodeKernel, _ese_all
 
-    K, T = len(specs), y.size
-    cols = (specs[0].L * specs[0].s, specs[0].n_symbols)
+    K, T, s = len(specs), y.size, specs[0].s
+    cols = (specs[0].L * s, specs[0].n_symbols)
     kernels = [_CodeKernel(sp.sv.field, sp.mapper.signs, sp.sv.elements) for sp in specs]
     slots = [chip_slots(sp) for sp in specs]
     la_x = np.zeros((K, T))
@@ -143,11 +161,13 @@ def reference_decode_frame(y, specs, params, iterations, true_chips=None, stop_a
         changed = 0
         for k in range(K):
             la_c[k][slots[k]] = ese[k]
-            now = kernels[k].total_bit_llrs(la_c[k].reshape(cols)) >= 0
+            prior = la_c[k].reshape(cols)
+            now = kernels[k].total_bit_llrs(prior) >= 0
             if decided[k] is not None:
                 changed += int(np.count_nonzero(now != decided[k]))
             decided[k] = now
-            le = np.clip(kernels[k].despread(la_c[k].reshape(cols)), -LLR_MAX, LLR_MAX)
+            le = _despread_float32(kernels[k], prior) if s > 1 else kernels[k].despread(prior)
+            le = np.clip(le, -LLR_MAX, LLR_MAX)
             extr = le.reshape(-1)[slots[k]]
             trace[it, k] = np.mean(np.abs(extr) if true_chips is None else true_chips[k] * extr)
             la_x[k] = DAMPING * la_x[k] + (1.0 - DAMPING) * extr
@@ -160,6 +180,20 @@ def reference_decode_frame(y, specs, params, iterations, true_chips=None, stop_a
                         bit_llrs=bit_llrs, trace=trace[:it + 1],
                         chip_priors=la_c.reshape(K, *cols).transpose(0, 2, 1).reshape(K, T),
                         iterations=it + 1)
+
+
+def reference_weight_cdf_counts(s, L):
+    """Cumulative coefficients of (sum_{i<s} C(s, i) x^i)^(L-1), by L-1
+    schoolbook polynomial products."""
+    coeffs = [comb(s, i) for i in range(s)]
+    poly = [1]
+    for _ in range(L - 1):
+        nxt = [0] * (len(poly) + len(coeffs) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(coeffs):
+                nxt[i + j] += a * b
+        poly = nxt
+    return list(accumulate(poly))
 
 
 def reference_g_oracle_exact(s, L):

@@ -291,6 +291,58 @@ class TestDenseMapDespread:
                 want = map_decision_oracle(x[:, g], sv, mapper, field)
                 np.testing.assert_allclose(decided[:, g], want, rtol=0, atol=1e-9)
 
+    # float32 rounds each symbol LLR, a sum over up to 63 positions of
+    # N(0, 3^2) chips here, to 2^-24 of its size: the chip LLRs of these
+    # cases differ from float64's by at most 6e-5
+    F32_BOUND = 1e-4
+
+    @pytest.mark.parametrize("s,L", [(s, L) for s, L in CASES if s > 1])
+    def test_float32_buffers_match_within_rounding(self, s, L):
+        rng = np.random.default_rng(60 + 7 * s + L)
+        field = build_field(s)
+        mapper = random_mapper(s, (s, L, 1))
+        sv = random_spreading(field, L, (s, L, 2))
+        kern = _CodeKernel(field, mapper.signs, sv.elements)
+        rows = L * s
+        for n in sorted({rows, max(rows - 1, 1)}):
+            x = rng.normal(0.0, 3.0, size=(rows, n))
+            want = np.clip(kern.despread(x), -LLR_MAX, LLR_MAX)
+            bufs = [np.empty((L, field.q, n), np.float32), np.empty((L, 1, n), np.float32),
+                    np.empty((L, 2 * s, n), np.float32)]
+            got = kern.despread(x.copy(), *bufs)
+            assert got.dtype == np.float64
+            got = np.clip(got, -LLR_MAX, LLR_MAX)
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.F32_BOUND)
+            sure = np.abs(want) > self.F32_BOUND
+            assert np.array_equal(np.sign(got[sure]), np.sign(want[sure]))
+            for g in range(min(n, 2)):
+                oracle = map_despread_oracle(x[:, g], sv, mapper, field)
+                np.testing.assert_allclose(got[:, g], np.clip(oracle, -LLR_MAX, LLR_MAX),
+                                           rtol=0, atol=self.F32_BOUND)
+
+    def test_float32_zero_class_mass_clips_like_float64(self):
+        # every chip at +/-LLR_MAX agreeing with one symbol puts each other
+        # symbol >= 7 * 50 below it: exp(-350) is 0 in float32, normal in float64
+        s, L, n = 4, 8, 40
+        field = build_field(s)
+        mapper = random_mapper(s, 8)
+        sv = random_spreading(field, L, 9)
+        kern = _CodeKernel(field, mapper.signs, sv.elements)
+        rng = np.random.default_rng(10)
+        x = rng.normal(0.0, 3.0, size=(L * s, n))
+        sym = rng.integers(field.q, size=n // 2)
+        spread = field.mul_table[sym][:, sv.elements]                 # (n/2, L) elements
+        x[:, ::2] = LLR_MAX * mapper.signs[spread].reshape(-1, L * s).T
+        want = kern.despread(x)
+        assert np.all(np.abs(want[:, ::2]) > 300.0) and np.all(np.isfinite(want))
+        bufs = [np.empty((L, field.q, n), np.float32), np.empty((L, 1, n), np.float32),
+                np.empty((L, 2 * s, n), np.float32)]
+        got = kern.despread(x.copy(), *bufs)
+        assert np.array_equal(got[:, ::2], np.sign(want[:, ::2]) * np.inf)
+        assert np.array_equal(np.clip(got[:, ::2], -LLR_MAX, LLR_MAX),
+                              np.clip(want[:, ::2], -LLR_MAX, LLR_MAX))
+        np.testing.assert_allclose(got[:, 1::2], want[:, 1::2], rtol=0, atol=self.F32_BOUND)
+
     def test_map_keeps_entry_zero_and_own_block_zero(self):
         field = build_field(3)
         kern = _CodeKernel(field, random_mapper(3, 5).signs,
@@ -399,6 +451,27 @@ class TestKernelLayouts:
         x = prior.copy()
         bufs = (np.empty((L, field.q, n)), np.empty((L, 1, n)), np.empty((L, 2 * s, n)))
         kern.despread(x, *bufs)
+        x[...] = prior
+        tracemalloc.start()
+        try:
+            got = kern.despread(x, *bufs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is x
+        assert np.array_equal(got, want)
+        assert peak < 64 << 10
+
+    def test_despread_in_float32_buffers_allocates_no_arrays(self):
+        # the frame path's call for s > 1: float32 buffers, float64 priors
+        s, L, n = 4, 8, 3000
+        field = build_field(s)
+        kern = _CodeKernel(field, random_mapper(s, 5).signs, random_spreading(field, L, 6).elements)
+        prior = np.random.default_rng(7).normal(0.0, 3.0, size=(L * s, n))
+        x = prior.copy()
+        bufs = tuple(np.empty(shape, np.float32)
+                     for shape in ((L, field.q, n), (L, 1, n), (L, 2 * s, n)))
+        want = kern.despread(x, *bufs).copy()
         x[...] = prior
         tracemalloc.start()
         try:
@@ -757,7 +830,9 @@ class TestReferenceLoop:
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), (tc is None, field)
         beyond, infinite = np.any(extremes, axis=0)
         assert beyond == underflows
-        assert infinite == (underflows and s == 6)  # the s=4 shape's masses stay subnormal
+        # a float32 log is at least log(smallest subnormal) = -103, so a chip
+        # LLR beyond +/-700 is always an infinite one: both shapes reach it
+        assert infinite == underflows
         got = decode_frame(y, specs, params, iterations=20, stop_after=2)
         _assert_same_outputs(got, reference_decode_frame(y, specs, params, 20, stop_after=2))
         assert got.iterations < 20 or db < 7.5  # the 7.5 dB and higher frames stop

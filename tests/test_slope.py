@@ -9,11 +9,13 @@ from scipy.stats import norm
 
 from ffspread import analysis
 from ffspread.cli import write_prediction, write_slope_table
-from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, _weight_sums, g_closed_form,
+from ffspread.slope import (EXACT_ENUM_BUDGET, _qfunc, _weight_cdf_counts, _weight_sums,
+                            g_closed_form,
                             g_oracle, predict_ber, slope_report, standard_slope,
                             standard_slope_exact)
 
-from helpers import reference_g_oracle_exact, reference_g_oracle_montecarlo
+from helpers import (reference_g_oracle_exact, reference_g_oracle_montecarlo,
+                     reference_weight_cdf_counts)
 
 
 class TestClosedForm:
@@ -24,6 +26,11 @@ class TestClosedForm:
     def test_L1_is_zero(self):
         for s in (1, 2, 6):
             assert g_closed_form(s, 1) == Fraction(0)
+
+    @pytest.mark.parametrize("s,L", [(1, 1), (1, 5), (2, 1), (2, 2), (3, 3), (2, 2049),
+                                     (4, 1025), (5, 60), (7, 3), (10, 49), (12, 23)])
+    def test_count_recurrence_matches_schoolbook_products(self, s, L):
+        assert _weight_cdf_counts(s, L) == reference_weight_cdf_counts(s, L)
 
     def test_g22_exact_value(self):
         assert g_closed_form(2, 2) == Fraction(10, 9)
