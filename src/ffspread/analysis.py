@@ -27,17 +27,19 @@ The chunks are split round-robin over the decoder's thread pool, and
 their sums are added in chunk order once all have finished.  A chunk's
 values do not depend on how many threads run, so means, standard errors
 and CSVs are bit-identical for any thread count.  Each thread computes
-its sub-batches in one workspace per point: a single block, carved into
-views that the sub-batch arrays are written into with ``out=``.  The
-sampler thus allocates no sub-batch temporaries of kernel size, which
-would sit at the allocator's mmap threshold and be page-faulted afresh.
+its sub-batches of p samples in one workspace per point: a single block,
+carved into views that the sub-batch arrays are written into with
+``out=``.  p depends on the point alone, not on the thread count, so
+each thread's workspace is one size and T threads hold T of them.  The
+sampler allocates no sub-batch temporaries of kernel size, which would
+sit at the allocator's mmap threshold and be page-faulted afresh.
 Both despreader estimators lay a sub-batch's gathered terms out
 position-major, (L, p, .), so every sum over spreading positions runs
 down the leading axis; ``exit_ffdes_exact`` marginalizes with samples as
 columns, (Q, p), and ``exit_ffdes_approx`` takes its dot products as one
-(p*(L-1), s) @ (s, Q) GEMM.  Each product runs its sums in the same order
-for any sub-batch size p, so a chunk's values do not depend on the thread
-count either (see ``_pattern_bit_llrs``).
+(p*(L-1), s) @ (s, Q) GEMM.  Each product also runs its sums in the same
+order for any p, so a chunk's values do not depend on p either (see
+``_pattern_bit_llrs``).
 The slope oracle's Monte-Carlo mode (``slope.g_oracle``) samples on the
 same ``_mc_mean``.
 """
@@ -54,11 +56,11 @@ from .decoder import _CodeKernel, _lse, _run_split, _task_threads
 from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
-# float64 entries of one per-sample array of all concurrent sub-batches,
-# e.g. the (p, L, Q) gathers of each thread's p samples: 2 MiB across the
-# threads.  Each thread's workspace holds three such arrays for
-# exit_ffdes_exact and two for exit_ffdes_approx: 6 and 4 MiB in all.
-KERNEL_ENTRIES = 1 << 18
+# float64 entries of one per-sample array of a thread's sub-batch, e.g. the
+# (p, L, Q) gathers of its p samples: 1 MiB per thread.  Each thread's
+# workspace holds three such arrays for exit_ffdes_exact and two for
+# exit_ffdes_approx: 3 and 2 MiB, whatever the thread count.
+KERNEL_ENTRIES = 1 << 17
 # longest class-mass sum marginalized as one GEMM; see _pattern_bit_llrs
 MASS_GEMM_MAX_Q = 256
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
@@ -98,15 +100,16 @@ def _mc_mean(sampler, samples: int, seed, entries: int = 0) -> tuple[float, floa
     ``sampler(step)`` runs once per thread and returns that thread's
     ``one_chunk(rng, b)``, which gives a chunk's b values, computed in
     sub-batches of ``step`` samples.  With ``entries`` per-sample entries,
-    ``step`` keeps the sub-batches of all threads within ``KERNEL_ENTRIES``;
-    it is at most one chunk and at most ``samples``, so a workspace sized
-    from it holds no row that is never used.
+    ``step`` keeps a sub-batch within ``KERNEL_ENTRIES``; it is at most one
+    chunk and at most ``samples``, so a workspace sized from it holds no row
+    that is never used.  It depends on ``entries`` and ``samples`` alone,
+    not on the thread count, so every thread's workspace is one size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     chunks = -(-samples // CHUNK)
     threads = _task_threads(chunks)
-    step = min(max(1, KERNEL_ENTRIES // max(1, entries * threads)), CHUNK, samples)
+    step = min(max(1, KERNEL_ENTRIES // max(1, entries)), CHUNK, samples)
     sums = [(0.0, 0.0)] * chunks   # (sum, sum of squares) of each chunk
 
     def run(part: range) -> None:
@@ -152,15 +155,16 @@ def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
     The terms of t are gathered position-major, (L, p, Q), so the sum over
     positions runs down the leading axis, and the totals are marginalized
     with samples as columns, (Q, p), so the class masses are one GEMM.  A
-    sample's values must not depend on p, which the thread count sets, so
-    every product is one whose sums OpenBLAS runs in the same order for any
-    p.  P stays one (Q, s) @ (s, L) product per sample: a single
-    (Q, s) @ (s, p*L) GEMM would compute the last columns of a large
-    sub-batch in another kernel, with other last bits from s = 6 on.
-    numpy multiplies a single column by gemv, which sums in another order,
-    so one sample's masses are read as two; and OpenBLAS splits a sum
-    longer than ``MASS_GEMM_MAX_Q`` into blocks only for large matrices, so
-    a larger field marginalizes each sample on its own, as a (Q, 1) product.
+    sample's values must not depend on p, which is smaller in a chunk's
+    last sub-batch and scales with ``KERNEL_ENTRIES``, so every product is
+    one whose sums OpenBLAS runs in the same order for any p.  P stays one
+    (Q, s) @ (s, L) product per sample: a single (Q, s) @ (s, p*L) GEMM
+    would compute the last columns of a large sub-batch in another kernel,
+    with other last bits from s = 6 on.  numpy multiplies a single column
+    by gemv, which sums in another order, so one sample's masses are read
+    as two; and OpenBLAS splits a sum longer than ``MASS_GEMM_MAX_Q`` into
+    blocks only for large matrices, so a larger field marginalizes each
+    sample on its own, as a (Q, 1) product.
 
     Everything before the marginalization is computed into ``ws``, three
     regions of at least p*L*Q entries; the int16 ``forward`` and ``pattern``

@@ -385,10 +385,8 @@ def _exit_budget(v: dict) -> list[str]:
 
 def _closed_form_budget(s: int, l: int) -> list[str]:
     """Refuse a slope table or prediction whose largest exact g, g(s, l+1), costs too much."""
-    # (s-1)*l power terms times l*s*2^(s-1) denominator bits, plus the count
-    # polynomial's (s-1)*s*l^2 big-integer additions of up to l*s bits, which
-    # weigh about 1/256 as much per bit (fitted to timings of g_closed_form)
-    cost = (s - 1) * s * l * l * (2 ** (s - 1) + s * l // 256)
+    # (s-1)*l power terms times l*s*2^(s-1) denominator bits
+    cost = (s - 1) * s * l * l * 2 ** (s - 1)
     if cost > MAX_CLOSED_FORM_COST:
         return [f"g(s, l+1) at s = {s}, l = {l} costs {cost} units, above the closed-form "
                 f"budget {MAX_CLOSED_FORM_COST} (a few seconds of big-integer arithmetic)"]
@@ -460,10 +458,6 @@ def resolve(args: argparse.Namespace, command: str | None = None) -> dict:
                    if (flag := getattr(args, name, None)) is not None})
     check(command, values)
     return values
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**resolve(args, "simulate"))
 
 
 def _build_parser() -> argparse.ArgumentParser:

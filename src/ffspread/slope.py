@@ -131,9 +131,9 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
     weight-sum table, the same table exact mode builds for L-1 draws.  A
     chunk draws one (b, 2^(s-1)) uint16 index array per tuple and adds its
     lookups into (2^(s-1), b) int32 sums in row sub-batches, which bound
-    ``take``'s intp copy of the indices: about 3.5 MiB per thread at s = 8,
-    whatever L is.  As for an EXIT point, the first threaded call sets
-    OpenBLAS to one thread for the process.
+    ``take``'s intp copy of the indices: about 4 MiB per thread at s = 8,
+    whatever L and the thread count.  As for an EXIT point, the first
+    threaded call sets OpenBLAS to one thread for the process.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")

@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffspread import analysis, decoder
+from ffspread import analysis, decoder, slope
 from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
                                exit_ffdes_approx, exit_ffdes_exact,
                                ffdes_approx_curve, ffdes_exact_curve,
                                tunnel_check, write_curves_csv)
 from ffspread.gf import _sign_basis, build_field
-from ffspread.slope import g_closed_form
+from ffspread.slope import g_closed_form, g_oracle
 
 SAMPLES = 20_000
 
@@ -202,6 +202,31 @@ class TestWorkspace:
                 point(m_a, 3, 4, samples=3 * analysis.CHUNK, seed=1)
                 assert len(calls[-1]) == len(set(calls[-1])) == threads
 
+    @pytest.mark.parametrize("module,point", [
+        (analysis, lambda: exit_ffdes_exact(2.0, 4, 8, 3 * analysis.CHUNK, seed=1)),
+        (analysis, lambda: exit_ffdes_approx(2.0, 4, 8, 3 * analysis.CHUNK, seed=1)),
+        (slope, lambda: g_oracle(8, 3, mode="montecarlo", samples=3 * analysis.CHUNK, seed=1)),
+    ], ids=["exact", "approx", "oracle"])
+    def test_sub_batch_rows_do_not_depend_on_the_thread_count(self, module, point, cpu_share,
+                                                              monkeypatch):
+        # 128, 112 and 128 entries per sample: sub-batches shorter than a chunk
+        steps = []
+        mc_mean = analysis._mc_mean
+
+        def recorded(sampler, *args, **kwargs):
+            def per_thread(step):
+                steps[-1].append(step)
+                return sampler(step)
+            return mc_mean(per_thread, *args, **kwargs)
+        monkeypatch.setattr(module, "_mc_mean", recorded)
+        for threads in (1, 2, 3):
+            cpu_share(threads)
+            steps.append([])
+            point()
+            assert len(steps[-1]) == threads
+        rows = {step for run in steps for step in run}
+        assert len(rows) == 1 and rows.pop() < analysis.CHUNK
+
     def test_approx_point_memory_is_bounded(self, cpu_share):
         # 13.9 MiB measured, 6 MiB under the bound; int64 index draws took 34.5 MiB
         cpu_share(2)
@@ -239,7 +264,7 @@ class TestThreadCount:
 
 class TestSubBatches:
     """A sample's despreader read does not depend on how many samples share
-    its sub-batch, which the thread count sets."""
+    its sub-batch, which is fewer in a chunk's last sub-batch."""
 
     @pytest.mark.parametrize("s,L", [(s, L) for s in (1, 2, 4, 6) for L in (1, 3, 8, 16)]
                              + [(9, 2)])

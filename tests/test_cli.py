@@ -15,7 +15,7 @@ from scipy.stats import norm
 from ffspread import cli
 from ffspread.cli import (MAX_DESPREAD_ENTRIES, BerRecord, ConfigError, FitError,
                           RunConfig, build_user_specs, fit_slope,
-                          load_config_file, main, read_ber_csv, resolve_config,
+                          load_config_file, main, read_ber_csv, resolve,
                           run_ber_sweep, write_ber_csv)
 
 
@@ -96,7 +96,7 @@ class TestConfig:
         for f in ("s", "l", "n", "iterations", "seed", "workers", "min_errors",
                   "max_frames", "mapper", "sv", "noiseless", "outdir"):
             setattr(Args, f, None)
-        cfg = resolve_config(Args())
+        cfg = RunConfig(**resolve(Args(), "simulate"))
         assert cfg.k == 3
         assert cfg.s == 2
         assert cfg.eb_n0_db == (7.0,)
@@ -532,6 +532,24 @@ class TestArgumentTable:
                             "out": "unused.csv"})
         cli.check("predict", {"s": 10, "l": 32, "eb_n0_db": (6.0,), "out": "unused.csv"})
         assert cli._closed_form_budget(1, 10**6) == []   # s = 1: g = L - 1, no big integers
+
+    # the largest l that slope and predict accept, at s = 2..12
+    CLOSED_FORM_EDGES = {2: 5792, 3: 2364, 4: 1182, 5: 647, 6: 373, 7: 223, 8: 136,
+                         9: 85, 10: 53, 11: 34, 12: 22}
+
+    def test_predict_accepts_a_cell_inside_the_s4_edge(self, tmp_path):
+        # g(4, 1026): the count polynomial's recurrence is cheap enough to leave out
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--s", "4", "--l", "1025", "--eb_n0_db", "6",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("s,l", CLOSED_FORM_EDGES.items())
+    def test_closed_form_budget_edges(self, s, l, tmp_path):
+        assert cli._closed_form_budget(s, l) == []
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--s", str(s), "--l", str(l + 1), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_fit_refuses_unreadable_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
