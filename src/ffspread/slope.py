@@ -20,9 +20,11 @@ product of the 2^(s-1) independent groups: every joint realization
 appears once, with its max taken directly, so no CDF or power identity
 of the closed form is involved.  Monte Carlo samples on the EXIT
 estimators' chunked sampler, bit-identical for any thread count.  One
-uint16 index, looked up in the enumeration's table of k-tuple weight
-sums, draws k of a group's positions: 2 draws per group at s = 4, L = 8.
-A sampling thread holds about 6 bytes per sample and group.
+uniform integer of at most 2^32 values, a word, draws consecutive
+k-tuples of a group's positions, split into indices of the enumeration's
+tables of k-tuple weight sums: 1 draw per group at s = 4, L = 8.  A
+sampling thread holds one sub-batch of draws and sums, about 2.5 MiB at
+most.
 """
 
 from __future__ import annotations
@@ -124,16 +126,21 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
     ``montecarlo`` samples the draws on ``analysis._mc_mean`` (``seed``:
     an int or a sequence of ints; ``samples`` >= 1), bit-identical for any
     thread count.  One uniform index below m^k, m = 2^s-1, is k i.i.d.
-    draws read as base-m digits, so a group's L-1 draws take ceil((L-1)/k)
-    indices, with k the largest tuple length <= L-1 with m^k <= 2^16 (4 at
-    s = 4, 10 at s = 2, 1 from s = 9 on) and a shorter last tuple for the
-    remainder.  Each index's total weight is one lookup in the tuple's
-    weight-sum table, the same table exact mode builds for L-1 draws.  A
-    chunk draws one (b, 2^(s-1)) uint16 index array per tuple and adds its
-    lookups into (2^(s-1), b) int32 sums in row sub-batches, which bound
-    ``take``'s intp copy of the indices: about 4 MiB per thread at s = 8,
-    whatever L and the thread count.  As for an EXIT point, the first
-    threaded call sets OpenBLAS to one thread for the process.
+    draws read as base-m digits.  A group's L-1 draws are tuples of k, the
+    largest tuple length <= L-1 with m^k <= 2^16 (4 at s = 4, 10 at s = 2,
+    1 from s = 9 on), and a shorter last tuple for the remainder; each
+    tuple's total weight is one lookup in its weight-sum table, the same
+    table exact mode builds for L-1 draws.  Consecutive tuples share a
+    word while its w positions take m^w <= 2^32 values: one word at (4, 8),
+    (2, 16) and (10, 3), four at (8, 16).  Each sub-batch of ``step`` rows
+    draws every word once, as a (2^(s-1), step) int64 array that numpy
+    fills with one 32-bit draw per value, splits it into tuple indices
+    with // and a multiply-subtract, and adds their lookups into
+    (2^(s-1), step) sums, int16 while s(L-1) < 2^15 and int32 beyond.  So
+    a thread holds one sub-batch of at most ``KERNEL_ENTRIES`` draws,
+    leading indices and sums, about 2.5 MiB, whatever s, L and the thread
+    count.  As for an EXIT point, the first threaded call sets OpenBLAS to
+    one thread for the process.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")
@@ -160,21 +167,45 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
         value = Fraction(s * (L - 1)) - Fraction(total, count)
         return OracleResult(value, "exact enumeration")
 
-    m = 2**s - 1                       # uint16 indices: m^k <= 2^16, and m < 2^16 up to s = 16
+    m = 2**s - 1                       # int16 tuple tables: m^k <= 2^16 entries
     k = 1
     while k < L - 1 and m ** (k + 1) <= 1 << 16:
         k += 1
     full, rest = divmod(L - 1, k)
-    tables = [_weight_sums(s, k)] * full + ([_weight_sums(s, rest)] if rest else [])
+    words = []                         # tuple lengths per word, most significant first
+    for w in [k] * full + ([rest] if rest else []):
+        if words and m ** (sum(words[-1]) + w) <= 1 << 32:
+            words[-1].append(w)
+        else:
+            words.append([w])
+    tables = {w: _weight_sums(s, w) for word in words for w in word}
+    # int16 while s(L-1), above every sum and value, fits: half the bytes, faster adds
+    sums_type = np.int16 if s * (L - 1) < 1 << 15 else np.int32
 
     def sampler(step: int):
+        lead_space = np.empty(n_j * step, np.int64)   # a word's leading tuple indices
+        sums_space = np.empty(n_j * step, sums_type)
+
         def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-            sums = np.zeros((n_j, b), np.int32)   # group-major: the max runs down columns
-            for table in tables:
-                idx = rng.integers(0, table.size, size=(b, n_j), dtype=np.uint16)
-                for lo in range(0, b, step):   # take's intp copy of idx, one sub-batch at a time
-                    sums[:, lo:lo + step] += table.take(idx[lo:lo + step].T)
-            return s * (L - 1) - sums.max(axis=0).astype(np.float64)
+            vals = np.empty(b)
+            for lo in range(0, b, step):
+                p = min(step, b - lo)
+                lead = lead_space[:n_j * p].reshape(n_j, p)
+                sums = sums_space[:n_j * p].reshape(n_j, p)   # group-major: max down columns
+                sums.fill(0)
+                for word in words:
+                    tail = m ** sum(word)
+                    idx = rng.integers(0, tail, size=(n_j, p), dtype=np.int64)
+                    for w in word[:-1]:        # peel tuples off the top: // and multiply-subtract
+                        tail //= m**w
+                        np.floor_divide(idx, tail, out=lead)
+                        np.add(sums, tables[w].take(lead), out=sums)
+                        np.multiply(lead, tail, out=lead)
+                        np.subtract(idx, lead, out=idx)
+                    np.add(sums, tables[word[-1]].take(idx), out=sums)
+                    del idx                    # before the next word's draw
+                np.subtract(s * (L - 1), sums.max(axis=0), out=vals[lo:lo + p])
+            return vals
         return one_chunk
 
     mean, se = _mc_mean(sampler, samples, seed, entries=n_j)
@@ -202,7 +233,7 @@ def predict_ber(s: int, L: int, eb_n0_linear) -> tuple[np.ndarray, np.ndarray]:
     estimate = Q(sqrt(2 g(s, L+1) Eb / (L N0))),  bound = exp(-gstd(s, L) Eb/N0).
     """
     x = np.asarray(eb_n0_linear, dtype=np.float64)
-    if np.any(x <= 0):
+    if not np.all(x > 0):          # also refuses NaN
         raise ValueError("eb_n0_linear must be > 0")
     g = g_closed_form(s, L + 1)
     est = _qfunc(np.sqrt(2.0 * float(g) * x / L))

@@ -218,28 +218,40 @@ def reference_g_oracle_exact(s, L):
 
 def reference_g_oracle_montecarlo(s, L, samples, seed):
     """Monte-Carlo slope (mean, standard error), drawn as the library draws:
-    4096-sample chunks, chunk c seeded ``(seed, c)``.  A group's L-1 draws
-    come k at a time, k the largest tuple length <= L-1 with (2^s-1)^k <=
-    2^16, as one uniform uint16 index below (2^s-1)^k per (b, 2^(s-1))
-    array, the remainder last; each index is decoded digit by digit with %
-    and //.  Chunk sums are added in chunk order."""
+    4096-sample chunks, chunk c seeded ``(seed, c)``, each in sub-batches of
+    min(2^17 // 2^(s-1), 4096, samples) rows.  A group's L-1 draws come as
+    tuples of k, k the largest tuple length <= L-1 with (2^s-1)^k <= 2^16,
+    the remainder last, and consecutive tuples share a word while it holds
+    at most (2^s-1)^w <= 2^32 values for its w positions.  Each sub-batch
+    draws each word once, a (2^(s-1), rows) int64 array of uniform values
+    below (2^s-1)^w, and decodes it digit by digit with % and //.  Chunk
+    sums are added in chunk order."""
     m = 2**s - 1
     n_j = 1 << (s - 1)
     weights = np.array([v.bit_count() for v in range(m)], dtype=np.int64)
     k = max(j for j in range(1, L) if m**j <= 1 << 16)
+    tuples = [min(k, L - 1 - first) for first in range(0, L - 1, k)]
+    words = [0]                      # positions per word
+    for width in tuples:
+        if words[-1] and m ** (words[-1] + width) > 1 << 32:
+            words.append(0)
+        words[-1] += width
     chunk = 1 << 12
+    rows = min(max(1, (1 << 17) // n_j), chunk, samples)
     acc, acc2 = 0.0, 0.0
     for c in range(-(-samples // chunk)):
         rng = np.random.default_rng((seed, c))
         b = min(chunk, samples - c * chunk)
-        w = np.zeros((b, n_j), dtype=np.int64)
-        for first in range(0, L - 1, k):
-            width = min(k, L - 1 - first)
-            cur = rng.integers(0, m**width, size=(b, n_j), dtype=np.uint16).astype(np.int64)
-            for _ in range(width):
-                w += weights[cur % m]
-                cur //= m
-        vals = s * (L - 1) - w.max(axis=1).astype(np.float64)
+        vals = []
+        for lo in range(0, b, rows):
+            w = np.zeros((n_j, min(rows, b - lo)), dtype=np.int64)
+            for width in words:
+                cur = rng.integers(0, m**width, size=w.shape, dtype=np.int64)
+                for _ in range(width):
+                    w += weights[cur % m]
+                    cur //= m
+            vals.append(s * (L - 1) - w.max(axis=0).astype(np.float64))
+        vals = np.concatenate(vals)
         acc += float(vals.sum())
         acc2 += float((vals * vals).sum())
     mean = acc / samples

@@ -141,11 +141,19 @@ class TestOracle:
     def test_exact_matches_digit_enumeration(self, s, L):
         assert g_oracle(s, L, mode="exact").value == reference_g_oracle_exact(s, L)
 
-    @pytest.mark.parametrize("s, L, seed", [(4, 8, 3), (4, 8, 1), (2, 8, 1)])
+    @pytest.mark.parametrize("s, L, seed", [(4, 8, 3), (4, 8, 1), (2, 8, 1), (8, 16, 1),
+                                            (10, 3, 1)])
     def test_montecarlo_matches_reference_sums(self, s, L, seed):
-        # 100_003 samples: 24 full chunks and a partial one
+        # 100_003 samples: 24 full chunks and a partial one; (8, 16) draws 4
+        # words per sub-batch, (10, 3) one word of two single positions in
+        # 256-row sub-batches
         res = g_oracle(s, L, mode="montecarlo", samples=100_003, seed=seed)
         assert (res.value, res.std_error) == reference_g_oracle_montecarlo(s, L, 100_003, seed)
+
+    def test_montecarlo_sums_past_int16(self):
+        # s(L-1) = 71992: int32 sums, some of whose groups pass 2^15 - 1
+        res = g_oracle(8, 9000, mode="montecarlo", samples=10, seed=1)
+        assert (res.value, res.std_error) == reference_g_oracle_montecarlo(8, 9000, 10, 1)
 
     def test_montecarlo_same_on_one_and_two_threads(self, cpu_share):
         results = []
@@ -167,8 +175,13 @@ class TestOracle:
         g_oracle(4, 8, mode="montecarlo", samples=4 * analysis.CHUNK, seed=5)
         assert len(threads) >= 2
 
-    def test_montecarlo_draws_one_index_per_tuple(self, monkeypatch):
-        # (4, 8): 15^4 <= 2^16 < 15^5, so a group's 7 draws are a 4-tuple and a 3-tuple
+    @pytest.mark.parametrize("s, L, samples, calls", [
+        (4, 8, 2 * analysis.CHUNK + 17, [1, 1, 1]),
+        (10, 4, analysis.CHUNK + 17, [16, 1])], ids=["4-8", "10-4"])
+    def test_montecarlo_draws_one_index_per_word(self, monkeypatch, s, L, samples, calls):
+        # (4, 8): a group's 7 draws are a 4-tuple and a 3-tuple, 15^7 <= 2^32, so
+        # one word per 4096-row sub-batch; (10, 4): one word of three positions
+        # per 256-row sub-batch
         counts = []
         default_rng = np.random.default_rng
 
@@ -181,16 +194,16 @@ class TestOracle:
                 self.calls += 1
                 return self.rng.integers(*args, **kwargs)
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        g_oracle(4, 8, mode="montecarlo", samples=2 * analysis.CHUNK + 17, seed=5)
-        assert [rng.calls for rng in counts] == [2, 2, 2]
+        g_oracle(s, L, mode="montecarlo", samples=samples, seed=5)
+        assert [rng.calls for rng in counts] == calls
 
     @pytest.mark.parametrize("s, L, seed, value, std_error", [
-        (9, 3, 0, "3.4411370013419544", "0.007424026875463706"),
-        (4, 2, 0, "1.0840551421251678", "0.003079431803807496")])
-    def test_montecarlo_single_draw_tuples_keep_their_stream(self, s, L, seed, value,
-                                                             std_error):
-        # k = 1 from s = 9 on and at L = 2: one uint16 draw per position, as
-        # before tuple indices; values recorded with that earlier sampler
+        (9, 3, 0, "3.434793217030621", "0.0074755242252751595"),
+        (4, 2, 0, "1.0845431255337319", "0.003082633879232551")], ids=["9-3", "4-2"])
+    def test_montecarlo_keeps_its_stream(self, s, L, seed, value, std_error):
+        # (9, 3): one word of two single positions per 512-row sub-batch, split
+        # by // and multiply-subtract; (4, 2): one single-position word per
+        # chunk; values recorded with one int64 draw per word and sub-batch
         res = g_oracle(s, L, mode="montecarlo", samples=8197, seed=seed)
         assert (repr(res.value), repr(res.std_error)) == (value, std_error)
 
@@ -205,6 +218,19 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 30 << 20
+
+    @pytest.mark.parametrize("s, L", [(12, 2), (10, 3)])
+    def test_montecarlo_memory_is_bounded_at_large_s(self, cpu_share, s, L):
+        # whole-chunk index arrays peaked at 197 and 64 MiB on 4 threads; now
+        # each thread holds one sub-batch of at most 2^17 draws and sums
+        cpu_share(4)
+        tracemalloc.start()
+        try:
+            g_oracle(s, L, mode="montecarlo", samples=16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
     def test_exact_enumeration_memory(self):
         # 7^8 joint realizations; the digit-by-digit enumeration peaked at 176 MiB
@@ -272,6 +298,11 @@ class TestPredictBer:
     def test_invalid_ebn0(self):
         with pytest.raises(ValueError):
             predict_ber(2, 8, 0.0)
+
+    @pytest.mark.parametrize("x", [[math.nan], [4.0, math.nan], math.nan])
+    def test_nan_ebn0_is_refused(self, x):
+        with pytest.raises(ValueError, match="> 0"):
+            predict_ber(4, 8, x)
 
 
 class TestSlopeReport:
