@@ -24,22 +24,23 @@ Three estimators:
 
 Sampling is chunked (4096 samples per chunk, one child seed per chunk).
 The chunks are split round-robin over the decoder's thread pool, and
-their sums are added in chunk order once all have finished.  A chunk's
-values do not depend on how many threads run, so means, standard errors
-and CSVs are bit-identical for any thread count.  Each thread computes
-its sub-batches of p samples in one workspace per point: a single block,
-carved into views that the sub-batch arrays are written into with
-``out=``.  p depends on the point alone, not on the thread count, so
-each thread's workspace is one size and T threads hold T of them.  The
-sampler allocates no sub-batch temporaries of kernel size, which would
-sit at the allocator's mmap threshold and be page-faulted afresh.
+their sums are added in chunk order once all have finished.
+``_mc_mean`` runs the one sub-batch loop for every sampler: it walks
+each chunk in sub-batches of p samples, and each sub-batch draws its
+samples from the chunk's stream and writes their values into a view of
+the thread's chunk buffer.  p depends on the point alone, not on the
+thread count, so a chunk's values, and so means, standard errors and
+CSVs, are bit-identical for any thread count.  Each thread computes its
+sub-batches in one workspace per point: a single block, carved into
+views that the sub-batch arrays are written into with ``out=``, one size
+for every thread, so T threads hold T of them.  The sampler allocates no
+sub-batch temporaries of kernel size, which would sit at the allocator's
+mmap threshold and be page-faulted afresh.
 Both despreader estimators lay a sub-batch's gathered terms out
 position-major, (L, p, .), so every sum over spreading positions runs
 down the leading axis; ``exit_ffdes_exact`` marginalizes with samples as
 columns, (Q, p), and ``exit_ffdes_approx`` takes its dot products as one
-(p*(L-1), s) @ (s, Q) GEMM.  Each product also runs its sums in the same
-order for any p, so a chunk's values do not depend on p either (see
-``_pattern_bit_llrs``).
+(p*(L-1), s) @ (s, Q) GEMM.
 The slope oracle's Monte-Carlo mode (``slope.g_oracle``) samples on the
 same ``_mc_mean``.
 """
@@ -61,8 +62,6 @@ CHUNK = 1 << 12
 # workspace holds three such arrays for exit_ffdes_exact and two for
 # exit_ffdes_approx: 3 and 2 MiB, whatever the thread count.
 KERNEL_ENTRIES = 1 << 17
-# longest class-mass sum marginalized as one GEMM; see _pattern_bit_llrs
-MASS_GEMM_MAX_Q = 256
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
 TUNNEL_ROUNDS = 2000  # most rounds of tunnel_check's recursion
 
@@ -98,12 +97,15 @@ def _mc_mean(sampler, samples: int, seed, entries: int = 0) -> tuple[float, floa
     """Chunked Monte-Carlo mean and standard error of a per-sample statistic.
 
     ``sampler(step)`` runs once per thread and returns that thread's
-    ``one_chunk(rng, b)``, which gives a chunk's b values, computed in
-    sub-batches of ``step`` samples.  With ``entries`` per-sample entries,
-    ``step`` keeps a sub-batch within ``KERNEL_ENTRIES``; it is at most one
-    chunk and at most ``samples``, so a workspace sized from it holds no row
-    that is never used.  It depends on ``entries`` and ``samples`` alone,
-    not on the thread count, so every thread's workspace is one size.
+    ``one_batch(rng, out)``, which draws ``len(out)`` samples from the
+    chunk's ``rng`` and writes their values into ``out``.  Each chunk is
+    walked in sub-batches of ``step`` samples, into views of one per-thread
+    chunk buffer.  With ``entries`` per-sample entries, ``step`` keeps a
+    sub-batch within ``KERNEL_ENTRIES``; it is at most one chunk and at most
+    ``samples``, so a workspace sized from it holds no row that is never
+    used.  It depends on ``entries`` and ``samples`` alone, not on the
+    thread count, so every thread's workspace is one size and a chunk's
+    draws and values are the same for any thread count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -113,11 +115,15 @@ def _mc_mean(sampler, samples: int, seed, entries: int = 0) -> tuple[float, floa
     sums = [(0.0, 0.0)] * chunks   # (sum, sum of squares) of each chunk
 
     def run(part: range) -> None:
-        one_chunk = sampler(step)
+        one_batch = sampler(step)
+        vals = np.empty(min(CHUNK, samples))
         for c in part:
             rng = np.random.default_rng(_seed_tuple(seed, c))
-            vals = one_chunk(rng, min(CHUNK, samples - c * CHUNK))
-            sums[c] = float(vals.sum()), float((vals * vals).sum())
+            b = min(CHUNK, samples - c * CHUNK)
+            for lo in range(0, b, step):
+                one_batch(rng, vals[lo:min(lo + step, b)])
+            v = vals[:b]
+            sums[c] = float(v.sum()), float((v * v).sum())
 
     _run_split(run, range(chunks), threads)
     acc, acc2 = 0.0, 0.0   # plain addition: builtin sum() compensates from Python 3.12
@@ -154,17 +160,9 @@ def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
 
     The terms of t are gathered position-major, (L, p, Q), so the sum over
     positions runs down the leading axis, and the totals are marginalized
-    with samples as columns, (Q, p), so the class masses are one GEMM.  A
-    sample's values must not depend on p, which is smaller in a chunk's
-    last sub-batch and scales with ``KERNEL_ENTRIES``, so every product is
-    one whose sums OpenBLAS runs in the same order for any p.  P stays one
-    (Q, s) @ (s, L) product per sample: a single (Q, s) @ (s, p*L) GEMM
-    would compute the last columns of a large sub-batch in another kernel,
-    with other last bits from s = 6 on.  numpy multiplies a single column
-    by gemv, which sums in another order, so one sample's masses are read
-    as two; and OpenBLAS splits a sum longer than ``MASS_GEMM_MAX_Q`` into
-    blocks only for large matrices, so a larger field marginalizes each
-    sample on its own, as a (Q, 1) product.
+    with samples as columns, (Q, p), so the class masses are one GEMM.  p
+    depends on the point alone, not on the thread count, so a sample's
+    value may depend on p but not on how many threads sample.
 
     Everything before the marginalization is computed into ``ws``, three
     regions of at least p*L*Q entries; the int16 ``forward`` and ``pattern``
@@ -188,10 +186,6 @@ def _pattern_bit_llrs(kern: _CodeKernel, field, forward, pattern, sv, x,
     tot = np.sum(gathered, axis=0, out=_shaped(b, np.float64, p, q))
     idx = np.add(forward.T, off.T, out=_shaped(c, np.int64, q, p))
     t = np.take(tot, idx, mode="clip", out=_shaped(a, np.float64, q, p))   # (Q, p)
-    if q > MASS_GEMM_MAX_Q:
-        return kern.chip_llrs(t.T[:, :, None])[:, :, 0].T
-    if p == 1:
-        return kern.chip_llrs(np.repeat(t, 2, axis=1))[:, :1]
     return kern.chip_llrs(t)
 
 
@@ -219,31 +213,28 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     def sampler(step: int):
         ws = _workspace(*[step * L * q] * 3)
 
-        def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-            forward = np.tile(np.arange(q, dtype=np.int16), (b, 1))
+        def one_batch(rng: np.random.Generator, out: np.ndarray) -> None:
+            p = len(out)
+            rows = np.arange(p)
+            forward = np.tile(np.arange(q, dtype=np.int16), (p, 1))
             rng.permuted(forward, axis=1, out=forward)
-            sv = rng.integers(1, q, size=(b, L))
-            beta = rng.integers(0, q, size=b)
+            sv = rng.integers(1, q, size=(p, L))
+            beta = rng.integers(0, q, size=p)
             gamma = field.mul_table[beta[:, None], sv]
-            h = rng.normal(m_a, sigma, size=(b, L, s))
-            li = rng.integers(0, L, size=b)
-            ni = rng.integers(0, s, size=b)
+            h = rng.normal(m_a, sigma, size=(p, L, s))
+            li = rng.integers(0, L, size=p)
+            ni = rng.integers(0, s, size=p)
             # read position li through the total: its prior zeroed, s_li relabeled to 1
-            h[np.arange(b), li] = 0.0
-            sv = field.mul_table[sv, field.inv_table[sv[np.arange(b), li]][:, None]]
-            vals = np.empty(b)
-            for lo in range(0, b, step):
-                part = slice(lo, lo + step)
-                rows = np.arange(min(step, b - lo))
-                pattern = _shaped(ws[0], np.int16, len(rows), q)   # pattern[forward[v]] = v
-                np.put_along_axis(pattern, forward[part], np.arange(q, dtype=np.int16), axis=1)
-                chips = basis[np.take_along_axis(pattern, gamma[part], axis=1)]  # (p, L, s)
-                x = np.multiply(chips.swapaxes(1, 2), h[part].swapaxes(1, 2),
-                                out=_shaped(ws[1], np.float64, len(rows), s, L))
-                ext = _pattern_bit_llrs(kern, field, forward[part], pattern, sv[part], x, ws)
-                vals[part] = chips[rows, li[part], ni[part]] * ext[ni[part], rows]
-            return vals
-        return one_chunk
+            h[rows, li] = 0.0
+            sv = field.mul_table[sv, field.inv_table[sv[rows, li]][:, None]]
+            pattern = _shaped(ws[0], np.int16, p, q)   # pattern[forward[v]] = v
+            np.put_along_axis(pattern, forward, np.arange(q, dtype=np.int16), axis=1)
+            chips = basis[np.take_along_axis(pattern, gamma, axis=1)]   # (p, L, s)
+            x = np.multiply(chips.swapaxes(1, 2), h.swapaxes(1, 2),
+                            out=_shaped(ws[1], np.float64, p, s, L))
+            ext = _pattern_bit_llrs(kern, field, forward, pattern, sv, x, ws)
+            np.multiply(chips[rows, li, ni], ext[ni, rows], out=out)
+        return one_batch
 
     return _mc_mean(sampler, samples, seed, entries=L * q)
 
@@ -252,12 +243,12 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
                       seed=0) -> tuple[float, float]:
     """Upper-bound approximation of the despreader transfer point.
 
-    The closed form runs in sub-batches of a chunk's draws, each thread in
-    its own workspace: the (p, L-1, Q) dot products, one GEMM, and the flat
-    indices and terms of the sums gathered from them (half that size each),
-    position-major, so each sum over positions runs down the leading axis.
-    The sums, first su, then sp, overwrite the indices they were gathered
-    with.
+    Each sub-batch draws its own indices and priors and runs the closed
+    form in its thread's workspace: the (p, L-1, Q) dot products, one GEMM,
+    and the flat indices and terms of the sums gathered from them (half
+    that size each), position-major, so each sum over positions runs down
+    the leading axis.  The sums, first su, then sp, overwrite the indices
+    they were gathered with.
     """
     if m_a < 0:
         raise ValueError("m_a must be >= 0")
@@ -282,24 +273,20 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
             sel = np.take(dots, flat, out=_shaped(sel_ws, np.float64, L - 1, n, m), mode="clip")
             return np.sum(sel, axis=0, out=_shaped(idx_ws, np.float64, n, m))
 
-        def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
+        def one_batch(rng: np.random.Generator, out: np.ndarray) -> None:
+            n = len(out)
             # uint16 draws: q - 1 < 2^16 up to s = 16
-            r_idx = rng.integers(0, q - 1, size=(b, n_j, L - 1), dtype=np.uint16)  # no all-ones
-            rp_idx = rng.integers(1, q, size=(b, n_j - 1, L - 1), dtype=np.uint16)  # no all-zeros
-            h = rng.normal(m_a, sigma, size=(b, L - 1, s))
-            vals = np.empty(b)
-            for lo in range(0, b, step):
-                part = slice(lo, lo + step)
-                n = min(step, b - lo)
-                dots = np.matmul(h[part].reshape(-1, s), bits01.T,
-                                 out=_shaped(dots_ws, np.float64, n * (L - 1), q))
-                su = gather_sum(dots, r_idx[part])
-                vals[part] = s * (L - 1) * m_a - _lse(su)
-                if n_j > 1:
-                    sp = gather_sum(dots, rp_idx[part])
-                    vals[part] += np.logaddexp(0.0, _lse(-sp))
-            return vals
-        return one_chunk
+            r_idx = rng.integers(0, q - 1, size=(n, n_j, L - 1), dtype=np.uint16)  # no all-ones
+            rp_idx = rng.integers(1, q, size=(n, n_j - 1, L - 1), dtype=np.uint16)  # no all-zeros
+            h = rng.normal(m_a, sigma, size=(n, L - 1, s))
+            dots = np.matmul(h.reshape(-1, s), bits01.T,
+                             out=_shaped(dots_ws, np.float64, n * (L - 1), q))
+            su = gather_sum(dots, r_idx)
+            np.subtract(s * (L - 1) * m_a, _lse(su), out=out)
+            if n_j > 1:
+                sp = gather_sum(dots, rp_idx)
+                out += np.logaddexp(0.0, _lse(-sp))
+        return one_batch
 
     return _mc_mean(sampler, samples, seed, entries=(L - 1) * q)
 
@@ -315,12 +302,12 @@ def exit_ese(m_a: float, eb_n0: float, K: int, L: int, samples: int = 100_000,
         raise ValueError("eb_n0 must be > 0 (linear ratio)")
     sigma = np.sqrt(m_a / 2.0)
 
-    def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-        h = rng.normal(m_a / 2.0, sigma, size=(b, K - 1))
+    def one_batch(rng: np.random.Generator, out: np.ndarray) -> None:
+        h = rng.normal(m_a / 2.0, sigma, size=(len(out), K - 1))
         t = np.tanh(h)
-        return 4.0 / (2.0 * (1.0 - t * t).sum(axis=1) + L / eb_n0)
+        np.divide(4.0, 2.0 * (1.0 - t * t).sum(axis=1) + L / eb_n0, out=out)
 
-    return _mc_mean(lambda step: one_chunk, samples, seed)
+    return _mc_mean(lambda step: one_batch, samples, seed)
 
 
 def _curve(point_fn, grid, samples, seed) -> ExitCurve:

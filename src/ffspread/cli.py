@@ -214,8 +214,9 @@ def write_ber_csv(path, records: list[BerRecord]) -> None:
 
 def read_ber_csv(path) -> list[BerRecord]:
     """Records of a ``write_ber_csv`` file.  A file that cannot be read as
-    text, lacks its columns or holds a value that does not parse is a
-    ``ConfigError`` naming the path (and the line)."""
+    text, lacks its columns or holds a value that does not parse, or a
+    non-finite ``eb_n0_db`` or ``ber``, is a ``ConfigError`` naming the path
+    (and the line)."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -226,9 +227,11 @@ def read_ber_csv(path) -> list[BerRecord]:
             records = []
             for row in reader:
                 try:
-                    records.append(BerRecord(
-                        float(row["eb_n0_db"]), int(row["frames"]), int(row["bits"]),
-                        int(row["errors"]), float(row["ber"]), wall_time=0.0))
+                    rec = BerRecord(float(row["eb_n0_db"]), int(row["frames"]), int(row["bits"]),
+                                    int(row["errors"]), float(row["ber"]), wall_time=0.0)
+                    if not (math.isfinite(rec.eb_n0_db) and math.isfinite(rec.ber)):
+                        raise ValueError("eb_n0_db and ber must be finite")
+                    records.append(rec)
                 except (TypeError, ValueError) as exc:   # a short row reads None
                     raise ConfigError([f"{path}:{reader.line_num}: bad value: {exc}"]) from exc
             return records
@@ -369,9 +372,11 @@ def _simulate_budget(v: dict) -> list[str]:
 def _exit_budget(v: dict) -> list[str]:
     """One EXIT chunk's largest draw, then the ESE's largest sum of squares."""
     s, l = v["s"], v["l"]
-    # largest per-chunk draws: approx's (CHUNK, 2^(s-1), l-1) uint16 indices
-    # (2 bytes each), exact's (CHUNK, l, s) float64 priors and the signal
-    # estimator's (CHUNK, k-1) float64 priors
+    # a chunk of each estimator's per-sample draws: approx's 2^(s-1) (l-1)
+    # uint16 indices, exact's (l, s) float64 priors and the signal estimator's
+    # k-1 float64 priors.  Only the signal estimator draws a whole chunk at
+    # once; the despreader estimators draw per sub-batch, within
+    # KERNEL_ENTRIES, so for them the bound limits the point's size, not a draw
     draw = analysis.CHUNK * max(2 ** (s - 1) * (l - 1), s * l, v["k"] - 1)
     if draw > MAX_DESPREAD_ENTRIES:
         return [f"one EXIT chunk draws {draw} entries, above the budget {MAX_DESPREAD_ENTRIES}"]

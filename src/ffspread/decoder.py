@@ -471,14 +471,14 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     output ``g``, and for s > 1 the marginalization's max and class masses.
     For s > 1 the last three are float32: the despread computes in float32
     and writes its chip LLRs into the priors, and the clip, interleave,
-    trace and damping stay float64.  ``g``'s first 16T bytes then hold the
-    float64 interleaved extrinsics and the trace's temporary; a float32
-    ``g`` of T*2^s/s entries is sized up to them at s = 2 and 3, still
-    fewer bytes than the float64 layout.  The decision read allocates its
-    own (2^s, N) and (s, N) arrays and keeps log-sum-exp for underflowed
-    class masses.  Each user's latest read is kept in a (K, s, N) float
-    array, which becomes the returned bit LLRs and is the only memory the
-    stop rule adds.
+    trace and damping stay float64.  ``g``'s first 8T bytes then hold the
+    float64 interleaved extrinsics, which a float32 ``g`` of T*2^s/s
+    entries covers from s = 2 on; the trace's temporary goes into the
+    priors, free once the extrinsics are interleaved.  The decision read
+    allocates its own (2^s, N) and (s, N) arrays and keeps log-sum-exp for
+    underflowed class masses.  Each user's latest read is kept in a
+    (K, s, N) float array, which becomes the returned bit LLRs and is the
+    only memory the stop rule adds.
     Deinterleaving gathers through ``pos``, the (K, T) int64 inverse of
     ``chip_slots``, and interleaving through ``chip_slots``.
     Both use ``np.take(..., mode="clip")``: the default "raise" buffers the
@@ -519,19 +519,17 @@ def decode_frame(y: np.ndarray, specs: list[UserCodeSpec], params: ChannelParams
     if stop_after:
         flips = np.zeros((iterations, K), dtype=np.int64)  # decisions changed per user
     bits = np.zeros((K, s, N))  # each user's last decision read; zero decides +1
-    # per thread, see the docstring; g also holds the float64 (2, T) scratch,
-    # which its T * 2^s / s entries always cover in float64
+    # per thread, see the docstring
     dtype = np.float32 if s > 1 else np.float64
-    g_size = max(L * 2**s * N, 2 * T * 8 // np.dtype(dtype).itemsize)
-    work = [(np.empty(cols), np.empty(g_size, dtype))
+    work = [(np.empty(cols), np.empty(L * 2**s * N, dtype))
             + ((np.empty((L, 1, N), dtype), np.empty((L, 2 * s, N), dtype)) if s > 1 else ())
             for _ in range(threads)]
 
     def update(users: range) -> None:
         """Decide, despread, re-interleave and damp ``users``; writes their rows only."""
         x, g, *bufs = work[users.start]
-        ext = g[:L * 2**s * N].reshape(L, 2**s, N)
-        extr, tmp = g.view(np.float64)[:2 * T].reshape(2, T)
+        ext = g.reshape(L, 2**s, N)
+        extr, tmp = g.view(np.float64)[:T], x.reshape(-1)   # x is free once interleaved
         for k in users:
             np.take(ese[k], pos[k], out=x.reshape(-1), mode="clip")
             if stop_after or it == iterations - 1:

@@ -138,9 +138,9 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
     with // and a multiply-subtract, and adds their lookups into
     (2^(s-1), step) sums, int16 while s(L-1) < 2^15 and int32 beyond.  So
     a thread holds one sub-batch of at most ``KERNEL_ENTRIES`` draws,
-    leading indices and sums, about 2.5 MiB, whatever s, L and the thread
-    count.  As for an EXIT point, the first threaded call sets OpenBLAS to
-    one thread for the process.
+    sums and, where a word splits, leading indices, about 2.5 MiB,
+    whatever s, L and the thread count.  As for an EXIT point, the first
+    threaded call sets OpenBLAS to one thread for the process.
     """
     if s < 1 or L < 1:
         raise ValueError("s and L must be >= 1")
@@ -183,30 +183,27 @@ def g_oracle(s: int, L: int, mode: str = "exact", samples: int = 200_000,
     sums_type = np.int16 if s * (L - 1) < 1 << 15 else np.int32
 
     def sampler(step: int):
-        lead_space = np.empty(n_j * step, np.int64)   # a word's leading tuple indices
+        # a word's leading tuple indices, needed only where a word splits
+        lead_space = np.empty(n_j * step * any(len(word) > 1 for word in words), np.int64)
         sums_space = np.empty(n_j * step, sums_type)
 
-        def one_chunk(rng: np.random.Generator, b: int) -> np.ndarray:
-            vals = np.empty(b)
-            for lo in range(0, b, step):
-                p = min(step, b - lo)
-                lead = lead_space[:n_j * p].reshape(n_j, p)
-                sums = sums_space[:n_j * p].reshape(n_j, p)   # group-major: max down columns
-                sums.fill(0)
-                for word in words:
-                    tail = m ** sum(word)
-                    idx = rng.integers(0, tail, size=(n_j, p), dtype=np.int64)
-                    for w in word[:-1]:        # peel tuples off the top: // and multiply-subtract
-                        tail //= m**w
-                        np.floor_divide(idx, tail, out=lead)
-                        np.add(sums, tables[w].take(lead), out=sums)
-                        np.multiply(lead, tail, out=lead)
-                        np.subtract(idx, lead, out=idx)
-                    np.add(sums, tables[word[-1]].take(idx), out=sums)
-                    del idx                    # before the next word's draw
-                np.subtract(s * (L - 1), sums.max(axis=0), out=vals[lo:lo + p])
-            return vals
-        return one_chunk
+        def one_batch(rng: np.random.Generator, out: np.ndarray) -> None:
+            sums = sums_space[:n_j * len(out)].reshape(n_j, -1)   # group-major: max down columns
+            sums.fill(0)
+            for word in words:
+                tail = m ** sum(word)
+                idx = rng.integers(0, tail, size=sums.shape, dtype=np.int64)
+                for w in word[:-1]:        # peel tuples off the top: // and multiply-subtract
+                    tail //= m**w
+                    lead = lead_space[:idx.size].reshape(idx.shape)
+                    np.floor_divide(idx, tail, out=lead)
+                    np.add(sums, tables[w].take(lead), out=sums)
+                    np.multiply(lead, tail, out=lead)
+                    np.subtract(idx, lead, out=idx)
+                np.add(sums, tables[word[-1]].take(idx), out=sums)
+                del idx                    # before the next word's draw
+            np.subtract(s * (L - 1), sums.max(axis=0), out=out)
+        return one_batch
 
     mean, se = _mc_mean(sampler, samples, seed, entries=n_j)
     return OracleResult(mean, "monte carlo", se)

@@ -10,7 +10,6 @@ from ffspread.analysis import (DEFAULT_GRID, ExitCurve, ese_curve, exit_ese,
                                exit_ffdes_approx, exit_ffdes_exact,
                                ffdes_approx_curve, ffdes_exact_curve,
                                tunnel_check, write_curves_csv)
-from ffspread.gf import _sign_basis, build_field
 from ffspread.slope import g_closed_form, g_oracle
 
 SAMPLES = 20_000
@@ -24,6 +23,15 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _on_threads(cpu_share, point) -> list:
+    """``point()`` sampled on 1, 2 and 3 threads."""
+    results = []
+    for n in (1, 2, 3):
+        cpu_share(n)
+        results.append(point())
+    return results
 
 
 class TestFfdesExact:
@@ -46,10 +54,13 @@ class TestFfdesExact:
         with pytest.raises(ValueError):
             exit_ffdes_exact(-1.0, 2, 8)
 
-    def test_sub_batches_leave_the_result_unchanged(self, monkeypatch):
-        whole = exit_ffdes_exact(2.0, 3, 4, samples=700, seed=5)
-        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)  # 3 samples per sub-batch
-        assert exit_ffdes_exact(2.0, 3, 4, samples=700, seed=5) == whole
+    def test_sub_batches_leave_the_result_unchanged(self, cpu_share, monkeypatch):
+        # 3 samples per sub-batch: a full chunk and the 700-sample one end on a
+        # 1-row sub-batch, and the point is the same on 1, 2 and 3 threads
+        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)
+        one, two, three = _on_threads(cpu_share, lambda: exit_ffdes_exact(
+            2.0, 3, 4, samples=2 * analysis.CHUNK + 700, seed=5))
+        assert two == one and three == one
 
     def test_one_kernel_per_point(self, monkeypatch):
         builds = []
@@ -123,10 +134,12 @@ class TestFfdesApprox:
         secant = (hi - lo) / 20.0
         assert secant == pytest.approx(g, rel=0.02)
 
-    def test_sub_batches_leave_the_result_unchanged(self, monkeypatch):
-        whole = exit_ffdes_approx(2.0, 3, 4, samples=700, seed=5)
-        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)  # 4 samples per sub-batch
-        assert exit_ffdes_approx(2.0, 3, 4, samples=700, seed=5) == whole
+    def test_sub_batches_leave_the_result_unchanged(self, cpu_share, monkeypatch):
+        # 4 samples per sub-batch, and the point is the same on 1, 2 and 3 threads
+        monkeypatch.setattr(analysis, "KERNEL_ENTRIES", 100)
+        one, two, three = _on_threads(cpu_share, lambda: exit_ffdes_approx(
+            2.0, 3, 4, samples=2 * analysis.CHUNK + 700, seed=5))
+        assert two == one and three == one
 
     def test_asymptotically_linear(self):
         grid = np.array([20.0, 25.0, 30.0, 35.0, 40.0])
@@ -148,17 +161,17 @@ class TestPinnedStreams:
     exp, log and tanh may differ in the last bit between CPUs, so exact
     equality is checked only on one host (``TestThreadCount``, CI's cmp)."""
 
-    EXACT = {
-        (4, 8, 0.5): (3.1958810186181434, 0.029044208772287795),
-        (4, 8, 8.0): (86.00857634983046, 0.17303912699447505),
-        (4, 8, 40.0): (445.42989492771983, 0.6778501111368491),
-        (6, 8, 2.0): (23.867193816636874, 0.07379756957937812),
+    EXACT = {   # draws per sub-batch
+        (4, 8, 0.5): (3.158163598089253, 0.029231547599248987),
+        (4, 8, 8.0): (85.77162580452777, 0.17181209190400437),
+        (4, 8, 40.0): (444.27690406363257, 0.6681813213014484),
+        (6, 8, 2.0): (23.93950223115907, 0.07286678791555673),
     }
-    APPROX = {   # uint16 draws
-        (4, 8, 0.5): (3.2899319414555515, 0.04004094905203982),
-        (4, 8, 8.0): (89.23016155835197, 0.19351539747543217),
-        (4, 8, 40.0): (462.6597865882811, 0.678523927888244),
-        (6, 8, 2.0): (24.311153958533282, 0.09521881216437657),
+    APPROX = {   # uint16 draws per sub-batch
+        (4, 8, 0.5): (3.2708500491351007, 0.03945984906691955),
+        (4, 8, 8.0): (89.1385752280465, 0.18889043470895006),
+        (4, 8, 40.0): (462.1717707527745, 0.6635741564216112),
+        (6, 8, 2.0): (24.247389157284168, 0.09653676964596142),
     }
     ESE = {
         (4, 8, 0.5): (0.3163350148392472, 0.0003276463910067527),
@@ -228,9 +241,15 @@ class TestWorkspace:
         assert len(rows) == 1 and rows.pop() < analysis.CHUNK
 
     def test_approx_point_memory_is_bounded(self, cpu_share):
-        # 13.9 MiB measured, 6 MiB under the bound; int64 index draws took 34.5 MiB
+        # 5.2 MiB measured; whole-chunk index draws took 13.9 MiB as uint16
+        # and 34.5 MiB as int64
         cpu_share(2)
         assert _traced_peak(lambda: exit_ffdes_approx(2.0, 6, 8, 8192, seed=1)) < 20 << 20
+
+    def test_large_field_approx_point_memory_is_bounded(self, cpu_share):
+        # 5.0 MiB measured; whole-chunk uint16 index draws took 121 MiB
+        cpu_share(2)
+        assert _traced_peak(lambda: exit_ffdes_approx(2.0, 10, 8, 8192, seed=1)) < 16 << 20
 
 
 class TestThreadCount:
@@ -238,57 +257,21 @@ class TestThreadCount:
 
     SAMPLES = 3 * analysis.CHUNK + 17   # four chunks, the last one short
 
-    @staticmethod
-    def _on_threads(cpu_share, point) -> list:
-        results = []
-        for n in (1, 2, 3):
-            cpu_share(n)
-            results.append(point())
-        return results
-
-    @pytest.mark.parametrize("L", [1, 4, 8])
-    @pytest.mark.parametrize("s", [1, 2, 4, 6])
+    @pytest.mark.parametrize("s,L", [(s, L) for s in (1, 2, 4, 6) for L in (1, 4, 8)]
+                             + [(9, 2)])
     def test_despreader_points(self, s, L, cpu_share):
-        # at L = 1 an approx sample has (L-1)*Q = 0 entries
-        one, two, three = self._on_threads(cpu_share, lambda: (
+        # at L = 1 an approx sample has (L-1)*Q = 0 entries; at s = 9 exact
+        # marginalizes 512 field elements as one class-mass GEMM
+        one, two, three = _on_threads(cpu_share, lambda: (
             exit_ffdes_exact(2.0, s, L, self.SAMPLES, seed=(s, L)),
             exit_ffdes_approx(2.0, s, L, self.SAMPLES, seed=(s, L))))
         assert two == one and three == one
 
     @pytest.mark.parametrize("L", [1, 4, 8])
     def test_estimator_points(self, L, cpu_share):
-        one, two, three = self._on_threads(
+        one, two, three = _on_threads(
             cpu_share, lambda: exit_ese(1.5, 5.0, 8, L, self.SAMPLES, seed=L))
         assert two == one and three == one
-
-
-class TestSubBatches:
-    """A sample's despreader read does not depend on how many samples share
-    its sub-batch, which is fewer in a chunk's last sub-batch."""
-
-    @pytest.mark.parametrize("s,L", [(s, L) for s in (1, 2, 4, 6) for L in (1, 3, 8, 16)]
-                             + [(9, 2)])
-    def test_pattern_bit_llrs_per_sample(self, s, L):
-        # read whole, 1400 samples at s = 6 and 300 at s = 9 make the class-mass
-        # products large enough for OpenBLAS's blocked kernels
-        n = 300 if s > 8 else 1400
-        field = build_field(s)
-        kern = decoder._CodeKernel(field, _sign_basis(s), np.ones(L, dtype=np.int64))
-        rng = np.random.default_rng((s, L))
-        forward = np.argsort(rng.random((n, field.q)), axis=1).astype(np.int16)
-        pattern = np.argsort(forward, axis=1).astype(np.int16)
-        sv = rng.integers(1, field.q, size=(n, L))
-        x = rng.normal(1.0, 3.0, size=(n, s, L))
-        reads = []
-        for step in (1, 3, n):
-            ws = analysis._workspace(*[step * L * field.q] * 3)
-            read = np.empty((s, n))
-            for lo in range(0, n, step):
-                part = slice(lo, lo + step)
-                read[:, part] = analysis._pattern_bit_llrs(kern, field, forward[part],
-                                                           pattern[part], sv[part], x[part], ws)
-            reads.append(read)
-        assert np.array_equal(reads[1], reads[0]) and np.array_equal(reads[2], reads[0])
 
 
 class TestEse:

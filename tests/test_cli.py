@@ -557,8 +557,16 @@ class TestArgumentTable:
                             BerRecord(7.0, 4, 4000, 2, 5e-4, 0.0)])
         bad.write_text(bad.read_text().replace("7.0,4,", "7.0,x,"))
         missing = tmp_path / "missing.csv"
-        for path, message in ((missing, f"cannot read BER CSV {missing}"),
-                              (tmp_path, f"cannot read BER CSV {tmp_path}"),
-                              (bad, f"{bad}:3: bad value: invalid literal for int()")):
+        cases = [(missing, f"cannot read BER CSV {missing}"),
+                 (tmp_path, f"cannot read BER CSV {tmp_path}"),
+                 (bad, f"{bad}:3: bad value: invalid literal for int()")]
+        for name, old, new in (("inf_ebn0", "7.0,4,", "inf,4,"), ("nan_ebn0", "7.0,4,", "nan,4,"),
+                               ("nan_ber", "0.0005", "nan"), ("inf_ber", "0.0005", "inf")):
+            path = tmp_path / f"{name}.csv"
+            write_ber_csv(path, [BerRecord(6.0, 4, 4000, 8, 2e-3, 0.0),
+                                 BerRecord(7.0, 4, 4000, 2, 5e-4, 0.0)])
+            path.write_text(path.read_text().replace(old, new))
+            cases.append((path, f"{path}:3: bad value: eb_n0_db and ber must be finite"))
+        for path, message in cases:
             assert main(["fit", "--input", str(path)]) == 2, path
             assert f"config error: {message}" in capsys.readouterr().err

@@ -209,7 +209,8 @@ class TestOracle:
 
     def test_montecarlo_memory_is_bounded(self, cpu_share):
         # the whole (16384, 128, 15) chunk of int64 draws peaked at 300 MiB;
-        # now each of the 4 chunks' threads holds about 4 MiB
+        # now each of the 4 chunks' threads holds one sub-batch, about 2.5 MiB,
+        # and the call peaks at 10.3 MiB
         cpu_share(4)
         tracemalloc.start()
         try:
@@ -231,6 +232,22 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 24 << 20
+
+    @pytest.mark.parametrize("s, L, bound", [(12, 2, 2 << 20), (4, 5, 5 << 17)],
+                             ids=["12-2", "4-5"])
+    def test_montecarlo_unsplit_words_hold_no_leading_indices(self, cpu_share, s, L, bound):
+        # one tuple per word, so nothing is split: 1.54 and 0.51 MiB measured
+        # on one thread, against 2.54 and 0.76 MiB with the int64 leading-index
+        # workspace of (2^(s-1), step) entries
+        cpu_share(1)
+        g_oracle(s, L, mode="montecarlo", samples=100, seed=0)   # first-call allocations
+        tracemalloc.start()
+        try:
+            g_oracle(s, L, mode="montecarlo", samples=4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_exact_enumeration_memory(self):
         # 7^8 joint realizations; the digit-by-digit enumeration peaked at 176 MiB
