@@ -28,14 +28,15 @@ their sums are added in chunk order once all have finished.
 ``_mc_mean`` runs the one sub-batch loop for every sampler: it walks
 each chunk in sub-batches of p samples, and each sub-batch draws its
 samples from the chunk's stream and writes their values into a view of
-the thread's chunk buffer.  p depends on the point alone, not on the
-thread count, so a chunk's values, and so means, standard errors and
-CSVs, are bit-identical for any thread count.  Each thread computes its
-sub-batches in one workspace per point: a single block, carved into
-views that the sub-batch arrays are written into with ``out=``, one size
-for every thread, so T threads hold T of them.  The sampler allocates no
-sub-batch temporaries of kernel size, which would sit at the allocator's
-mmap threshold and be page-faulted afresh.
+the thread's chunk buffer.  p keeps a sub-batch of the sampler's stated
+entries per sample within ``KERNEL_ENTRIES`` and depends on the point
+alone, not on the thread count, so a chunk's values, and so means,
+standard errors and CSVs, are bit-identical for any thread count.  Each
+thread computes its sub-batches in one workspace per point: a single
+block, carved into views that the sub-batch arrays are written into with
+``out=``, one size for every thread, so T threads hold T of them.  The
+sampler allocates no sub-batch temporaries of kernel size, which would
+sit at the allocator's mmap threshold and be page-faulted afresh.
 Both despreader estimators lay a sub-batch's gathered terms out
 position-major, (L, p, .), so every sum over spreading positions runs
 down the leading axis; ``exit_ffdes_exact`` marginalizes with samples as
@@ -58,9 +59,9 @@ from .gf import _sign_basis, build_field
 
 CHUNK = 1 << 12
 # float64 entries of one per-sample array of a thread's sub-batch, e.g. the
-# (p, L, Q) gathers of its p samples: 1 MiB per thread.  Each thread's
-# workspace holds three such arrays for exit_ffdes_exact and two for
-# exit_ffdes_approx: 3 and 2 MiB, whatever the thread count.
+# (p, L, Q) gathers or (p, K-1) ESE priors of its p samples: 1 MiB per thread.
+# exit_ffdes_exact's workspace holds three, exit_ffdes_approx's two and exit_ese
+# draws one, whatever the thread count; ``ffspread exit`` refuses a larger sample.
 KERNEL_ENTRIES = 1 << 17
 DEFAULT_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0, 30.0, 40.0)
 TUNNEL_ROUNDS = 2000  # most rounds of tunnel_check's recursion
@@ -93,7 +94,7 @@ def _seed_tuple(seed, *tags: int) -> tuple[int, ...]:
     return base + tuple(int(t) for t in tags)
 
 
-def _mc_mean(sampler, samples: int, seed, entries: int = 0) -> tuple[float, float]:
+def _mc_mean(sampler, samples: int, seed, entries: int) -> tuple[float, float]:
     """Chunked Monte-Carlo mean and standard error of a per-sample statistic.
 
     ``sampler(step)`` runs once per thread and returns that thread's
@@ -202,8 +203,8 @@ def exit_ffdes_exact(m_a: float, s: int, L: int, samples: int = 100_000,
     One kernel reads all samples (``_pattern_bit_llrs``) in sub-batches, each
     thread in its own workspace, bounding memory.
     """
-    if m_a < 0:
-        raise ValueError("m_a must be >= 0")
+    if not 0 <= m_a < math.inf:   # also refuses NaN
+        raise ValueError("m_a must be finite and >= 0")
     field = build_field(s)
     q = field.q
     basis = _sign_basis(s)
@@ -250,8 +251,8 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
     the leading axis.  The sums, first su, then sp, overwrite the indices
     they were gathered with.
     """
-    if m_a < 0:
-        raise ValueError("m_a must be >= 0")
+    if not 0 <= m_a < math.inf:   # also refuses NaN
+        raise ValueError("m_a must be finite and >= 0")
     q = 1 << s
     n_j = 1 << (s - 1)
     sigma = np.sqrt(2.0 * m_a)
@@ -294,20 +295,20 @@ def exit_ffdes_approx(m_a: float, s: int, L: int, samples: int = 100_000,
 def exit_ese(m_a: float, eb_n0: float, K: int, L: int, samples: int = 100_000,
              seed=0) -> tuple[float, float]:
     """Signal-estimator transfer point; ``eb_n0`` is the linear ratio."""
-    if m_a < 0:
-        raise ValueError("m_a must be >= 0")
+    if not 0 <= m_a < math.inf:   # also refuses NaN
+        raise ValueError("m_a must be finite and >= 0")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if eb_n0 <= 0:
-        raise ValueError("eb_n0 must be > 0 (linear ratio)")
+    if not 0 < eb_n0 < math.inf:
+        raise ValueError("eb_n0 must be finite and > 0 (linear ratio)")
     sigma = np.sqrt(m_a / 2.0)
 
     def one_batch(rng: np.random.Generator, out: np.ndarray) -> None:
-        h = rng.normal(m_a / 2.0, sigma, size=(len(out), K - 1))
-        t = np.tanh(h)
-        np.divide(4.0, 2.0 * (1.0 - t * t).sum(axis=1) + L / eb_n0, out=out)
+        t = rng.normal(m_a / 2.0, sigma, size=(len(out), K - 1))   # 1 - tanh^2 in place:
+        np.subtract(1.0, np.square(np.tanh(t, out=t), out=t), out=t)
+        np.divide(4.0, 2.0 * t.sum(axis=1) + L / eb_n0, out=out)
 
-    return _mc_mean(lambda step: one_batch, samples, seed)
+    return _mc_mean(lambda step: one_batch, samples, seed, entries=K - 1)
 
 
 def _curve(point_fn, grid, samples, seed) -> ExitCurve:

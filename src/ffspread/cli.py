@@ -55,8 +55,7 @@ from .gf import MAX_DEGREE, build_field, natural_mapper, random_mapper
 
 # entries of one float64 array: a frame's (K, T) chip arrays, its
 # (iterations, K) trace, one user's largest despreader array, its
-# (L*2^s, N) block or its (L*2^s, L*s) dense map, and one EXIT chunk's
-# largest draw: 2^24 is 128 MiB
+# (L*2^s, N) block or its (L*2^s, L*s) dense map: 2^24 is 128 MiB
 MAX_DESPREAD_ENTRIES = 1 << 24
 # cost units of the largest exact slope g(s, l+1) that slope and predict
 # evaluate (see _closed_form_budget): at most about 3.5 s per g on one core
@@ -370,18 +369,14 @@ def _simulate_budget(v: dict) -> list[str]:
 
 
 def _exit_budget(v: dict) -> list[str]:
-    """One EXIT chunk's largest draw, then the ESE's largest sum of squares."""
-    s, l = v["s"], v["l"]
-    # a chunk of each estimator's per-sample draws: approx's 2^(s-1) (l-1)
-    # uint16 indices, exact's (l, s) float64 priors and the signal estimator's
-    # k-1 float64 priors.  Only the signal estimator draws a whole chunk at
-    # once; the despreader estimators draw per sub-batch, within
-    # KERNEL_ENTRIES, so for them the bound limits the point's size, not a draw
-    draw = analysis.CHUNK * max(2 ** (s - 1) * (l - 1), s * l, v["k"] - 1)
-    if draw > MAX_DESPREAD_ENTRIES:
-        return [f"one EXIT chunk draws {draw} entries, above the budget {MAX_DESPREAD_ENTRIES}"]
+    """One EXIT sample per sampling sub-batch, then the ESE's largest sum of squares."""
+    # the largest samples: exact's (l, 2^s) terms and the ESE's k-1 priors
+    entries = max(v["l"] * 2 ** v["s"], v["k"] - 1)
+    if entries > analysis.KERNEL_ENTRIES:
+        return [f"one EXIT sample holds max(l*2^s, k-1) = {entries} entries, above a "
+                f"sub-batch's {analysis.KERNEL_ENTRIES}"]
     with np.errstate(over="ignore"):  # ESE values reach 4 Eb/N0 / l, at k = 1
-        squares = v["samples"] * (4.0 * 10.0 ** (np.float64(v["eb_n0_db"]) / 10.0) / l) ** 2
+        squares = v["samples"] * (4.0 * 10.0 ** (np.float64(v["eb_n0_db"]) / 10.0) / v["l"]) ** 2
     if not np.isfinite(squares):
         return ["samples * (4 Eb/N0 / l)^2, the ESE's largest sum of squares, "
                 "must be a finite float64"]

@@ -108,10 +108,12 @@ class FieldSpec:
         return p
 
     def _build_mul_table(self) -> np.ndarray:
-        # int16 log sums stay below 2(Q-1): a doubled exp table needs no modulo
+        # row by row, no (Q-1)^2 temporary; log sums < 2(Q-1) index a doubled exp table
         logs = self.log_table[1:].astype(np.int16)
+        exp2 = np.tile(self.exp_table.astype(np.int16), 2)
         table = np.zeros((self.q, self.q), dtype=np.int16)
-        table[1:, 1:] = np.tile(self.exp_table.astype(np.int16), 2)[logs[:, None] + logs[None, :]]
+        for i in range(1, self.q):
+            np.take(exp2, logs + logs[i - 1], out=table[i, 1:], mode="clip")
         return table
 
     def __repr__(self):

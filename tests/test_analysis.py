@@ -54,6 +54,11 @@ class TestFfdesExact:
         with pytest.raises(ValueError):
             exit_ffdes_exact(-1.0, 2, 8)
 
+    @pytest.mark.parametrize("m_a", [np.nan, np.inf])
+    def test_rejects_non_finite_prior_mean(self, m_a):
+        with pytest.raises(ValueError, match="m_a must be finite"):
+            exit_ffdes_exact(m_a, 2, 4)
+
     def test_sub_batches_leave_the_result_unchanged(self, cpu_share, monkeypatch):
         # 3 samples per sub-batch: a full chunk and the 700-sample one end on a
         # 1-row sub-batch, and the point is the same on 1, 2 and 3 threads
@@ -104,6 +109,11 @@ class TestFfdesApprox:
     def test_zero_prior_gives_zero(self):
         m_e, _ = exit_ffdes_approx(0.0, 4, 8, samples=500, seed=0)
         assert m_e == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m_a", [np.nan, np.inf])
+    def test_rejects_non_finite_prior_mean(self, m_a):
+        with pytest.raises(ValueError, match="m_a must be finite"):
+            exit_ffdes_approx(m_a, 2, 4)
 
     def test_rate_one_gives_zero(self):
         m_e, _ = exit_ffdes_approx(7.0, 3, 1, samples=500, seed=0)
@@ -251,6 +261,24 @@ class TestWorkspace:
         cpu_share(2)
         assert _traced_peak(lambda: exit_ffdes_approx(2.0, 10, 8, 8192, seed=1)) < 16 << 20
 
+    @pytest.mark.parametrize("point,workspace,tables", [
+        (lambda n: exit_ffdes_exact(2.0, 10, 128, n, seed=1), 3, 2),
+        (lambda n: exit_ffdes_approx(2.0, 10, 128, n, seed=1), 2, 0),
+        (lambda n: exit_ese(2.0, 4.0, 131073, 8, n, seed=1), 1, 0),
+    ], ids=["exact", "approx", "ese"])
+    def test_points_at_the_sub_batch_edge_hold_one_workspace_per_thread(
+            self, point, workspace, tables, cpu_share, monkeypatch):
+        # one sample of 2^17 entries per sub-batch (exact's (128, 1024) terms,
+        # the ESE's 131072 priors) and one 2-sample chunk per thread.  Each
+        # thread holds its workspace in MiB (the ESE's is its draw) and at most
+        # 1/2 MiB of other draws; exact also holds the 2 MiB s = 10 product
+        # table.  Measured 8.7, 4.7 and 2.0 MiB after a first point
+        monkeypatch.setattr(analysis, "CHUNK", 2)
+        cpu_share(2)
+        point(2)   # first-use imports and allocations
+        bound = 2 * (workspace + 0.5) + tables
+        assert _traced_peak(lambda: point(4)) < bound * (1 << 20)
+
 
 class TestThreadCount:
     """Chunks sampled on 1, 2 or 3 threads give the same (mean, se)."""
@@ -305,6 +333,30 @@ class TestEse:
         with pytest.raises(ValueError):
             exit_ese(1.0, 2.0, 0, 8)
 
+    @pytest.mark.parametrize("m_a,eb_n0", [(np.nan, 4.0), (np.inf, 4.0), (1.0, np.nan),
+                                           (1.0, np.inf)])
+    def test_rejects_non_finite_inputs(self, m_a, eb_n0):
+        with pytest.raises(ValueError, match="must be finite"):
+            exit_ese(m_a, eb_n0, 8, 8)
+
+    def test_sub_batches_match_whole_chunk_draws(self, cpu_share):
+        # K - 1 = 39 priors per sample: sub-batches of 3360 rows, so each full
+        # chunk is two draws, and the last, 808-sample chunk one
+        m_a, eb_n0, K, L, samples, seed = 1.5, 5.0, 40, 8, 9000, 7
+        acc, acc2 = 0.0, 0.0
+        for c in range(-(-samples // analysis.CHUNK)):
+            rng = np.random.default_rng(analysis._seed_tuple(seed, c))
+            b = min(analysis.CHUNK, samples - c * analysis.CHUNK)
+            t = np.tanh(rng.normal(m_a / 2.0, np.sqrt(m_a / 2.0), size=(b, K - 1)))
+            v = 4.0 / (2.0 * (1.0 - t * t).sum(axis=1) + L / eb_n0)
+            acc += float(v.sum())
+            acc2 += float((v * v).sum())
+        mean = acc / samples
+        se = float(np.sqrt((acc2 - samples * mean * mean) / (samples - 1) / samples))
+        for threads in (1, 2):
+            cpu_share(threads)
+            assert exit_ese(m_a, eb_n0, K, L, samples, seed) == (mean, se)
+
 
 class TestTunnel:
     def test_single_user_high_snr_converges(self):
@@ -326,6 +378,10 @@ class TestTunnel:
         a = tunnel_check(2, 8, 8, 5.0, samples=2000, seed=3)
         b = tunnel_check(2, 8, 8, 5.0, samples=2000, seed=3)
         assert a == b
+
+    def test_refuses_non_finite_eb_n0(self):
+        with pytest.raises(ValueError, match="eb_n0 must be finite"):
+            tunnel_check(2, 8, 8, np.nan, samples=2000)
 
 
 class TestCurvesAndCsv:

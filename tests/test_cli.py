@@ -370,10 +370,10 @@ class TestMainEntry:
                                        ["--k", "0"], ["--samples", "0"],
                                        ["--s", "0", "--samples", "0", "--k", "0"],
                                        ["--eb_n0_db", "nan"], ["--seed", "-1"],
-                                       # one chunk's approx indices, ESE priors
-                                       # and exact priors above 2^24 entries
-                                       ["--s", "12", "--l", "8"], ["--k", "1000000"],
-                                       ["--k", "4098"], ["--s", "1", "--l", "4097"],
+                                       # one sample's exact terms or ESE priors
+                                       # above a sub-batch's 2^17 entries
+                                       ["--s", "12", "--l", "33"], ["--k", "1000000"],
+                                       ["--k", "131074"], ["--s", "1", "--l", "65537"],
                                        ["--eb_n0_db", "4000"], ["--eb_n0_db", "-4000"],
                                        ["--eb_n0_db", "-3100"],
                                        # samples * (4 Eb/N0 / l)^2 overflows
@@ -415,9 +415,18 @@ class TestMainEntry:
         assert rows and all(math.isfinite(float(r["se_ese"])) for r in rows)
 
     def test_exit_accepts_the_largest_chunk(self, tmp_path):
-        # 4096 * (k - 1) and 4096 * s * l are 2^24 entries, the budget
+        # 4096 * (k - 1) and 4096 * s * l are 2^24 entries, the edge of an
+        # earlier budget on a chunk's draws
         assert main(["exit", "--s", "1", "--l", "4096", "--k", "4097", "--samples", "2",
                      "--outdir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        # one sample's l*2^s exact terms or k-1 ESE priors fill a sub-batch
+        ["--s", "12", "--l", "32"], ["--s", "1", "--l", "65536"], ["--k", "131073"],
+        # refused by the chunk budget, though no sampler draws a whole chunk
+        ["--s", "12", "--l", "8"], ["--k", "4098"], ["--s", "1", "--l", "4097"]])
+    def test_exit_accepts_one_sample_per_sub_batch(self, flags, tmp_path):
+        assert main(["exit", *flags, "--samples", "2", "--outdir", str(tmp_path)]) == 0
 
     def test_slope_subcommand(self, tmp_path):
         out = tmp_path / "slopes.csv"

@@ -98,7 +98,7 @@ def test_simulate(argv):
 @given(vectors({"samples": ints(2, 64)},
                {"s": ints(1, 5), "l": ints(1, 8), "k": ints(1, 8), "seed": ints(0, 3),
                 "eb_n0_db": st.one_of(EB_N0, st.just(1500.0)).map(str)},
-               {"s": ["0", "13", "x"], "l": ["0", "4097"], "k": ["0", "5000"],
+               {"s": ["0", "13", "x"], "l": ["0", "65537"], "k": ["0", "131074"],
                 "samples": ["0", "1"], "seed": ["-1"],
                 "eb_n0_db": ["nan", "6,7", "1600", "4000", ""]}))
 def test_exit(argv):
